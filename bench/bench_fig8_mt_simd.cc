@@ -8,12 +8,14 @@
 // ~1x — the harness prints the detected hardware concurrency so the reader
 // can interpret the bars (see EXPERIMENTS.md).
 
-// The harness also measures the morsel-driven scheduler (docs/scheduler.md)
-// against the static per-worker split on the same MT scalar path, printing
-// machine-greppable `sched_overhead_pct <layout> <agg> <pct>` lines; CI's
-// stress job asserts the single-query SUM overhead stays within budget.
+// The harness also measures the morsel scheduler's own cost: the par::
+// drivers on a 0-worker scheduler session (parallelism 1, every morsel
+// on the calling thread) against the serial kernels (the base bars),
+// printing machine-greppable `sched_overhead_pct <layout> <agg> <pct>`
+// lines; CI's stress job asserts the SUM overhead stays within budget.
 
 #include <cstdio>
+#include <memory>
 #include <thread>
 
 #include "bench_util.h"
@@ -29,121 +31,96 @@ constexpr int kValueWidth = 25;
 constexpr double kSelectivity = 0.1;
 constexpr int kThreads = 4;  // the paper pins 4 threads to 4 cores
 
-enum class Config { kBase, kMt, kSimd, kMtSimd };
+// One admitted query on a private scheduler with `threads` - 1 workers
+// plus the calling thread. Admission happens once, outside every timed
+// region.
+struct Session {
+  explicit Session(int threads)
+      : scheduler(threads - 1),
+        governor(scheduler, {.max_concurrent = 1,
+                             .max_queued = 0,
+                             .max_parallelism = threads}) {
+    auto admitted = governor.Admit(CancellationToken(), std::nullopt);
+    ICP_CHECK(admitted.ok());
+    session = std::move(admitted).value();
+  }
 
-double Measure(const Workload& w, ThreadPool& pool, Layout layout,
-               BenchAgg agg, Config config, int reps) {
-  auto run = [&] {
-    const bool vbp_layout = layout == Layout::kVbp;
-    switch (config) {
-      case Config::kBase:
-        DoNotOptimize(
-            vbp_layout
-                ? (agg == BenchAgg::kSum
-                       ? static_cast<std::uint64_t>(vbp::Sum(w.vbp,
-                                                             w.filter_vbp))
-                       : (agg == BenchAgg::kMin
-                              ? vbp::Min(w.vbp, w.filter_vbp).value_or(0)
-                              : vbp::Median(w.vbp, w.filter_vbp)
-                                    .value_or(0)))
-                : (agg == BenchAgg::kSum
-                       ? static_cast<std::uint64_t>(hbp::Sum(w.hbp,
-                                                             w.filter_hbp))
-                       : (agg == BenchAgg::kMin
-                              ? hbp::Min(w.hbp, w.filter_hbp).value_or(0)
-                              : hbp::Median(w.hbp, w.filter_hbp)
-                                    .value_or(0))));
-        return;
-      case Config::kMt:
-        DoNotOptimize(
-            vbp_layout
-                ? (agg == BenchAgg::kSum
-                       ? static_cast<std::uint64_t>(
-                             par::Sum(pool, w.vbp, w.filter_vbp))
-                       : (agg == BenchAgg::kMin
-                              ? par::Min(pool, w.vbp, w.filter_vbp)
-                                    .value_or(0)
-                              : par::Median(pool, w.vbp, w.filter_vbp)
-                                    .value_or(0)))
-                : (agg == BenchAgg::kSum
-                       ? static_cast<std::uint64_t>(
-                             par::Sum(pool, w.hbp, w.filter_hbp))
-                       : (agg == BenchAgg::kMin
-                              ? par::Min(pool, w.hbp, w.filter_hbp)
-                                    .value_or(0)
-                              : par::Median(pool, w.hbp, w.filter_hbp)
-                                    .value_or(0))));
-        return;
-      case Config::kSimd:
-        DoNotOptimize(
-            vbp_layout
-                ? (agg == BenchAgg::kSum
-                       ? static_cast<std::uint64_t>(
-                             simd::SumVbp(w.vbp_simd, w.filter_vbp))
-                       : (agg == BenchAgg::kMin
-                              ? simd::MinVbp(w.vbp_simd, w.filter_vbp)
-                                    .value_or(0)
-                              : simd::MedianVbp(w.vbp_simd, w.filter_vbp)
-                                    .value_or(0)))
-                : (agg == BenchAgg::kSum
-                       ? static_cast<std::uint64_t>(
-                             simd::SumHbp(w.hbp_simd, w.filter_hbp))
-                       : (agg == BenchAgg::kMin
-                              ? simd::MinHbp(w.hbp_simd, w.filter_hbp)
-                                    .value_or(0)
-                              : simd::MedianHbp(w.hbp_simd, w.filter_hbp)
-                                    .value_or(0))));
-        return;
-      case Config::kMtSimd:
-        DoNotOptimize(
-            vbp_layout
-                ? (agg == BenchAgg::kSum
-                       ? static_cast<std::uint64_t>(simd::SumVbp(
-                             pool, w.vbp_simd, w.filter_vbp))
-                       : (agg == BenchAgg::kMin
-                              ? simd::MinVbp(pool, w.vbp_simd, w.filter_vbp)
-                                    .value_or(0)
-                              : simd::MedianVbp(pool, w.vbp_simd,
-                                                w.filter_vbp)
-                                    .value_or(0)))
-                : (agg == BenchAgg::kSum
-                       ? static_cast<std::uint64_t>(simd::SumHbp(
-                             pool, w.hbp_simd, w.filter_hbp))
-                       : (agg == BenchAgg::kMin
-                              ? simd::MinHbp(pool, w.hbp_simd, w.filter_hbp)
-                                    .value_or(0)
-                              : simd::MedianHbp(pool, w.hbp_simd,
-                                                w.filter_hbp)
-                                    .value_or(0))));
-        return;
-    }
-  };
-  return CyclesPerTuple(w.n, reps, run);
+  sched::MorselScheduler scheduler;
+  sched::QueryGovernor governor;
+  std::unique_ptr<sched::QuerySession> session;
+};
+
+// One Fig. 8 aggregate through one driver family, folded to a value the
+// optimizer must keep.
+template <typename Sum, typename Min, typename Median>
+std::uint64_t RunAgg(BenchAgg agg, Sum sum, Min min, Median median) {
+  switch (agg) {
+    case BenchAgg::kSum:
+      return static_cast<std::uint64_t>(sum());
+    case BenchAgg::kMin:
+      return min().value_or(0);
+    default:
+      return median().value_or(0);
+  }
 }
 
-// The MT scalar path again, but dispatched as morsels through a governed
-// QuerySession instead of the static per-worker split. Admission happens
-// once, outside the timed region: the comparison isolates pure
-// scheduling overhead (shard queues, slot claims, stealing).
-double MeasureSched(const Workload& w, sched::QuerySession& ex,
-                    Layout layout, BenchAgg agg, int reps) {
+// Cycles per tuple of one aggregate: the serial kernels when `ex` is
+// null, the par:: / simd:: drivers on `ex` otherwise; `simd` picks the
+// lanes=4 packing.
+double Measure(const Workload& w, ParallelExecutor* ex, Layout layout,
+               BenchAgg agg, bool simd, int reps) {
+  const FilterBitVector& fv = w.filter_vbp;
+  const FilterBitVector& fh = w.filter_hbp;
   auto run = [&] {
-    DoNotOptimize(
-        layout == Layout::kVbp
-            ? (agg == BenchAgg::kSum
-                   ? static_cast<std::uint64_t>(
-                         par::Sum(ex, w.vbp, w.filter_vbp))
-                   : (agg == BenchAgg::kMin
-                          ? par::Min(ex, w.vbp, w.filter_vbp).value_or(0)
-                          : par::Median(ex, w.vbp, w.filter_vbp)
-                                .value_or(0)))
-            : (agg == BenchAgg::kSum
-                   ? static_cast<std::uint64_t>(
-                         par::Sum(ex, w.hbp, w.filter_hbp))
-                   : (agg == BenchAgg::kMin
-                          ? par::Min(ex, w.hbp, w.filter_hbp).value_or(0)
-                          : par::Median(ex, w.hbp, w.filter_hbp)
-                                .value_or(0))));
+    std::uint64_t r = 0;
+    if (layout == Layout::kVbp) {
+      const VbpColumn& c = simd ? w.vbp_simd : w.vbp;
+      if (ex == nullptr && !simd) {
+        r = RunAgg(
+            agg, [&] { return vbp::Sum(c, fv); },
+            [&] { return vbp::Min(c, fv); },
+            [&] { return vbp::Median(c, fv); });
+      } else if (ex == nullptr) {
+        r = RunAgg(
+            agg, [&] { return simd::SumVbp(c, fv); },
+            [&] { return simd::MinVbp(c, fv); },
+            [&] { return simd::MedianVbp(c, fv); });
+      } else if (!simd) {
+        r = RunAgg(
+            agg, [&] { return par::Sum(*ex, c, fv); },
+            [&] { return par::Min(*ex, c, fv); },
+            [&] { return par::Median(*ex, c, fv); });
+      } else {
+        r = RunAgg(
+            agg, [&] { return simd::SumVbp(*ex, c, fv); },
+            [&] { return simd::MinVbp(*ex, c, fv); },
+            [&] { return simd::MedianVbp(*ex, c, fv); });
+      }
+    } else {
+      const HbpColumn& c = simd ? w.hbp_simd : w.hbp;
+      if (ex == nullptr && !simd) {
+        r = RunAgg(
+            agg, [&] { return hbp::Sum(c, fh); },
+            [&] { return hbp::Min(c, fh); },
+            [&] { return hbp::Median(c, fh); });
+      } else if (ex == nullptr) {
+        r = RunAgg(
+            agg, [&] { return simd::SumHbp(c, fh); },
+            [&] { return simd::MinHbp(c, fh); },
+            [&] { return simd::MedianHbp(c, fh); });
+      } else if (!simd) {
+        r = RunAgg(
+            agg, [&] { return par::Sum(*ex, c, fh); },
+            [&] { return par::Min(*ex, c, fh); },
+            [&] { return par::Median(*ex, c, fh); });
+      } else {
+        r = RunAgg(
+            agg, [&] { return simd::SumHbp(*ex, c, fh); },
+            [&] { return simd::MinHbp(*ex, c, fh); },
+            [&] { return simd::MedianHbp(*ex, c, fh); });
+      }
+    }
+    DoNotOptimize(r);
   };
   return CyclesPerTuple(w.n, reps, run);
 }
@@ -154,27 +131,19 @@ void Run() {
   PrintHeader(
       "Figure 8: speed-up of BP aggregation from multi-threading and SIMD",
       n, reps);
-  std::printf("AVX2 build: %s; hardware threads on this host: %u; pool "
-              "size: %d\n",
+  std::printf("AVX2 build: %s; hardware threads on this host: %u; MT "
+              "session slots: %d\n",
               kHaveAvx2 ? "yes" : "no (portable 4x64 fallback)",
               std::thread::hardware_concurrency(), kThreads);
 
-  ThreadPool pool(kThreads);
-  // Same core count as the static split: kThreads - 1 workers plus the
-  // calling thread, one uncontended query.
-  sched::MorselScheduler scheduler(kThreads - 1);
-  sched::QueryGovernor governor(scheduler,
-                                {.max_concurrent = 1, .max_queued = 0});
-  auto session = governor.Admit(CancellationToken(), std::nullopt);
-  if (!session.ok()) {
-    std::printf("admission failed: %s\n",
-                session.status().ToString().c_str());
-    return;
-  }
+  Session mt(kThreads);
+  Session morsel1(1);  // 0 workers: the morsel path at parallelism 1
+  ParallelExecutor* mt_ex = mt.session.get();
+  ParallelExecutor* one_ex = morsel1.session.get();
 
   std::printf("\n%-4s %-8s %10s %10s %10s %10s %10s  %8s %8s %8s\n", "lay",
               "agg", "base c/t", "MT c/t", "SIMD c/t", "both c/t",
-              "morsel c/t", "MT x", "SIMD x", "both x");
+              "morsel1 c/t", "MT x", "SIMD x", "both x");
   double overhead_pct[2][3] = {};
   for (int l = 0; l < 2; ++l) {
     const Layout layout = l == 0 ? Layout::kVbp : Layout::kHbp;
@@ -183,23 +152,22 @@ void Run() {
       const Workload w =
           MakeWorkload(n, kValueWidth, kSelectivity, 4000 + l * 3 + a,
                        /*build_simd=*/true);
-      const double base = Measure(w, pool, layout, agg, Config::kBase, reps);
-      const double mt = Measure(w, pool, layout, agg, Config::kMt, reps);
-      const double sd = Measure(w, pool, layout, agg, Config::kSimd, reps);
-      const double both =
-          Measure(w, pool, layout, agg, Config::kMtSimd, reps);
-      const double morsel =
-          MeasureSched(w, *session.value(), layout, agg, reps);
-      overhead_pct[l][a] = (morsel / mt - 1.0) * 100.0;
+      const double base = Measure(w, nullptr, layout, agg, false, reps);
+      const double mt_ct = Measure(w, mt_ex, layout, agg, false, reps);
+      const double sd = Measure(w, nullptr, layout, agg, true, reps);
+      const double both = Measure(w, mt_ex, layout, agg, true, reps);
+      const double morsel = Measure(w, one_ex, layout, agg, false, reps);
+      overhead_pct[l][a] = (morsel / base - 1.0) * 100.0;
       std::printf("%-4s %-8s %10.3f %10.3f %10.3f %10.3f %10.3f  %7.2fx "
                   "%7.2fx %7.2fx\n",
-                  l == 0 ? "VBP" : "HBP", BenchAggName(agg), base, mt, sd,
-                  both, morsel, base / mt, base / sd, base / both);
+                  l == 0 ? "VBP" : "HBP", BenchAggName(agg), base, mt_ct, sd,
+                  both, morsel, base / mt_ct, base / sd, base / both);
     }
   }
 
-  // Machine-greppable: morsel-scheduler overhead vs the static split on
-  // the same single query (negative = morsels were faster this run).
+  // Machine-greppable: the morsel path at parallelism 1 vs the serial
+  // kernel on the same single query (negative = morsels were faster this
+  // run).
   std::printf("\n");
   for (int l = 0; l < 2; ++l) {
     for (int a = 0; a < 3; ++a) {

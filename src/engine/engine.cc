@@ -17,7 +17,6 @@
 #include "obs/obs.h"
 #include "obs/stage_timer.h"
 #include "obs/trace.h"
-#include "parallel/executor.h"
 #include "parallel/parallel_aggregate.h"
 #include "parallel/parallel_nbp.h"
 #include "scan/hbp_scanner.h"
@@ -118,8 +117,24 @@ CodePredicate MapPredicate(const ColumnEncoder& encoder, CompareOp op,
 
 Engine::Engine(ExecOptions options) : options_(options) {
   ICP_CHECK_GE(options_.threads, 1);
-  pool_ = std::make_unique<ThreadPool>(options_.threads);
+  governor_ = options_.governor;
+  if (governor_ == nullptr) {
+    // max_concurrent = 0 makes the governor unbounded: it admits every
+    // arrival at once (no queue, no shedding) with unlimited scratch.
+    private_scheduler_ =
+        std::make_unique<sched::MorselScheduler>(options_.threads - 1);
+    private_governor_ = std::make_unique<sched::QueryGovernor>(
+        *private_scheduler_,
+        sched::AdmissionOptions{.max_concurrent = 0,
+                                .max_queued = 0,
+                                .max_parallelism = options_.threads});
+    governor_ = private_governor_.get();
+  }
 }
+
+Engine::~Engine() = default;
+Engine::Engine(Engine&&) noexcept = default;
+Engine& Engine::operator=(Engine&&) noexcept = default;
 
 std::optional<std::chrono::steady_clock::time_point> Engine::AbsoluteDeadline()
     const {
@@ -127,26 +142,12 @@ std::optional<std::chrono::steady_clock::time_point> Engine::AbsoluteDeadline()
   return std::chrono::steady_clock::now() + *options_.deadline;
 }
 
-CancelContext Engine::MakeCancelContext() const {
-  return CancelContext(options_.cancel_token, AbsoluteDeadline());
-}
-
-Status Engine::CheckPool() {
-  if (pool_->TakeTaskFailure()) {
-    return Status::Internal("a thread pool task failed to run");
-  }
-  return Status::Ok();
-}
-
-Status Engine::CheckSession() {
-  if (session_ == nullptr) return Status::Ok();
-  return session_->Error();
-}
+Status Engine::CheckSession() { return session_->Error(); }
 
 // Admission is per entry point: Enter blocks in the governor's bounded
-// queue (or is shed) before any work runs; the destructor copies the
-// session's scheduling stats into the query's QueryStats and releases the
-// admission slot.
+// queue (or is shed) before any work runs — a private governor admits at
+// once; the destructor copies the session's scheduling stats into the
+// query's QueryStats and releases the admission slot.
 struct Engine::SessionScope {
   Engine* engine = nullptr;
   std::unique_ptr<sched::QuerySession> session;
@@ -154,9 +155,7 @@ struct Engine::SessionScope {
   [[nodiscard]] Status Enter(
       Engine& e,
       std::optional<std::chrono::steady_clock::time_point> deadline) {
-    if (e.options_.governor == nullptr) return Status::Ok();
-    auto session_or = e.options_.governor->Admit(e.options_.cancel_token,
-                                                 deadline);
+    auto session_or = e.governor_->Admit(e.options_.cancel_token, deadline);
     ICP_RETURN_IF_ERROR(session_or.status());
     session = std::move(session_or).value();
     engine = &e;
@@ -167,10 +166,12 @@ struct Engine::SessionScope {
   ~SessionScope() {
     if (engine == nullptr) return;
     // Per-query distribution samples for the governed run: steal counts
-    // and scratch usage only make sense per session, so they record here
-    // rather than at the (ungoverned) entry-point epilogue.
-    ICP_OBS_HISTOGRAM_RECORD(QuerySteals, session->stats().steals);
-    ICP_OBS_HISTOGRAM_RECORD(QueryScratchBytes, session->scratch_bytes());
+    // and scratch usage only make sense against a shared governor, so
+    // they record here rather than at the entry-point epilogue.
+    if (engine->options_.governor != nullptr) {
+      ICP_OBS_HISTOGRAM_RECORD(QuerySteals, session->stats().steals);
+      ICP_OBS_HISTOGRAM_RECORD(QueryScratchBytes, session->scratch_bytes());
+    }
     if (obs::QueryStats* qs = engine->options_.stats; qs != nullptr) {
       qs->granted_parallelism = session->granted_parallelism();
       qs->admit_queued_cycles = session->queued_cycles();
@@ -226,40 +227,37 @@ StatusOr<Engine::TriState> Engine::ScanLeaf(const Table& table,
     out.pass = FilterBitVector(table.num_rows(), vps);
     if (pred.all) out.pass.SetAll();
   } else {
-    const bool mt = options_.threads > 1;
+    const bool serial = Serial();
+    const CompareOp op = pred.op;
+    const std::uint64_t c1 = pred.c1;
+    const std::uint64_t c2 = pred.c2;
     switch (column.spec().layout) {
       case Layout::kVbp:
         if (options_.simd) {
-          out.pass = mt ? simd::ScanVbp(*pool_, column.vbp_simd(), pred.op,
-                                        pred.c1, pred.c2, sp)
-                        : simd::ScanVbp(column.vbp_simd(), pred.op, pred.c1,
-                                        pred.c2, sp);
+          const VbpColumn& col = column.vbp_simd();
+          out.pass = serial ? simd::ScanVbp(col, op, c1, c2, sp, cancel)
+                            : simd::ScanVbp(*session_, col, op, c1, c2,
+                                            cancel, sp);
           modeled = true;
-        } else if (session_ != nullptr) {
-          out.pass = par::Scan(*session_, column.vbp(), pred.op, pred.c1,
-                               pred.c2, cancel, sp);
         } else {
-          out.pass = mt ? par::Scan(*pool_, column.vbp(), pred.op, pred.c1,
-                                    pred.c2, cancel, sp)
-                        : VbpScanner::Scan(column.vbp(), pred.op, pred.c1,
-                                           pred.c2, sp, cancel);
+          const VbpColumn& col = column.vbp();
+          out.pass = serial ? VbpScanner::Scan(col, op, c1, c2, sp, cancel)
+                            : par::Scan(*session_, col, op, c1, c2, cancel,
+                                        sp);
         }
         break;
       case Layout::kHbp:
         if (options_.simd) {
-          out.pass = mt ? simd::ScanHbp(*pool_, column.hbp_simd(), pred.op,
-                                        pred.c1, pred.c2, sp)
-                        : simd::ScanHbp(column.hbp_simd(), pred.op, pred.c1,
-                                        pred.c2, sp);
+          const HbpColumn& col = column.hbp_simd();
+          out.pass = serial ? simd::ScanHbp(col, op, c1, c2, sp, cancel)
+                            : simd::ScanHbp(*session_, col, op, c1, c2,
+                                            cancel, sp);
           modeled = true;
-        } else if (session_ != nullptr) {
-          out.pass = par::Scan(*session_, column.hbp(), pred.op, pred.c1,
-                               pred.c2, cancel, sp);
         } else {
-          out.pass = mt ? par::Scan(*pool_, column.hbp(), pred.op, pred.c1,
-                                    pred.c2, cancel, sp)
-                        : HbpScanner::Scan(column.hbp(), pred.op, pred.c1,
-                                           pred.c2, sp, cancel);
+          const HbpColumn& col = column.hbp();
+          out.pass = serial ? HbpScanner::Scan(col, op, c1, c2, sp, cancel)
+                            : par::Scan(*session_, col, op, c1, c2, cancel,
+                                        sp);
         }
         break;
       case Layout::kNaive:
@@ -391,7 +389,10 @@ StatusOr<Engine::TriState> Engine::EvalExpr(const Table& table,
 StatusOr<FilterBitVector> Engine::EvaluateFilter(
     const Table& table, const FilterExprPtr& filter,
     const std::string& shape_column, std::uint64_t* scan_cycles) {
-  const CancelContext cancel = MakeCancelContext();
+  const auto deadline = AbsoluteDeadline();
+  SessionScope scope;
+  ICP_RETURN_IF_ERROR(scope.Enter(*this, deadline));
+  const CancelContext cancel(options_.cancel_token, deadline);
   return EvaluateFilterImpl(table, filter, shape_column, scan_cycles,
                             &cancel);
 }
@@ -416,7 +417,6 @@ StatusOr<FilterBitVector> Engine::EvaluateFilterImpl(
     f = std::move(std::move(result).value().pass);
   }
   if (scan_cycles != nullptr) *scan_cycles = timer.ElapsedCycles();
-  ICP_RETURN_IF_ERROR(CheckPool());
   ICP_RETURN_IF_ERROR(CheckSession());
   if (cancel != nullptr && cancel->ShouldStop()) return cancel->ToStatus();
   if (f.values_per_segment() != column.values_per_segment()) {
@@ -437,7 +437,10 @@ StatusOr<QueryResult> Engine::Aggregate(const Table& table, AggKind kind,
                                         const std::string& column_name,
                                         const FilterBitVector& filter,
                                         std::uint64_t rank) {
-  const CancelContext cancel = MakeCancelContext();
+  const auto deadline = AbsoluteDeadline();
+  SessionScope scope;
+  ICP_RETURN_IF_ERROR(scope.Enter(*this, deadline));
+  const CancelContext cancel(options_.cancel_token, deadline);
   return AggregateImpl(table, kind, column_name, filter, rank, &cancel);
 }
 
@@ -469,8 +472,9 @@ StatusOr<QueryResult> Engine::AggregateImpl(const Table& table, AggKind kind,
     effective = &non_null_filter;
   }
 
-  const bool mt = options_.threads > 1;
+  const bool serial = Serial();
   const bool bp = options_.method == AggMethod::kBitParallel;
+  const bool simd = bp && options_.simd;
   obs::QueryStats* qs = options_.stats;
   AggStats astats;
   AggStats* ap = qs != nullptr ? &astats : nullptr;
@@ -478,48 +482,46 @@ StatusOr<QueryResult> Engine::AggregateImpl(const Table& table, AggKind kind,
   const obs::StageTimer agg_timer;
   ICP_OBS_TRACE_SPAN("execute.aggregate", 0);
   switch (column.spec().layout) {
-    case Layout::kVbp:
-      if (bp && options_.simd) {
-        agg = mt ? simd::AggregateVbp(*pool_, column.vbp_simd(), *effective,
-                                      kind, rank, cancel, ap)
-                 : simd::AggregateVbp(column.vbp_simd(), *effective, kind,
-                                      rank, cancel, ap);
-      } else if (bp && session_ != nullptr) {
-        agg = par::Aggregate(*session_, column.vbp(), *effective, kind, rank,
-                             cancel, ap);
+    case Layout::kVbp: {
+      const FilterBitVector& f = *effective;
+      if (simd) {
+        const VbpColumn& col = column.vbp_simd();
+        agg = serial ? simd::AggregateVbp(col, f, kind, rank, cancel, ap)
+                     : simd::AggregateVbp(*session_, col, f, kind, rank,
+                                          cancel, ap);
       } else if (bp) {
-        agg = mt ? par::Aggregate(*pool_, column.vbp(), *effective, kind,
-                                  rank, cancel, ap)
-                 : vbp::Aggregate(column.vbp(), *effective, kind, rank,
-                                  cancel, ap);
+        const VbpColumn& col = column.vbp();
+        agg = serial ? vbp::Aggregate(col, f, kind, rank, cancel, ap)
+                     : par::Aggregate(*session_, col, f, kind, rank, cancel,
+                                      ap);
       } else {
-        agg = mt ? par_nbp::Aggregate(*pool_, column.vbp(), *effective, kind,
-                                      rank, cancel, ap)
-                 : nbp::Aggregate(column.vbp(), *effective, kind, rank,
-                                  cancel, ap);
+        const VbpColumn& col = column.vbp();
+        agg = serial ? nbp::Aggregate(col, f, kind, rank, cancel, ap)
+                     : par_nbp::Aggregate(*session_, col, f, kind, rank,
+                                          cancel, ap);
       }
       break;
-    case Layout::kHbp:
-      if (bp && options_.simd) {
-        agg = mt ? simd::AggregateHbp(*pool_, column.hbp_simd(), *effective,
-                                      kind, rank, cancel, ap)
-                 : simd::AggregateHbp(column.hbp_simd(), *effective, kind,
-                                      rank, cancel, ap);
-      } else if (bp && session_ != nullptr) {
-        agg = par::Aggregate(*session_, column.hbp(), *effective, kind, rank,
-                             cancel, ap);
+    }
+    case Layout::kHbp: {
+      const FilterBitVector& f = *effective;
+      if (simd) {
+        const HbpColumn& col = column.hbp_simd();
+        agg = serial ? simd::AggregateHbp(col, f, kind, rank, cancel, ap)
+                     : simd::AggregateHbp(*session_, col, f, kind, rank,
+                                          cancel, ap);
       } else if (bp) {
-        agg = mt ? par::Aggregate(*pool_, column.hbp(), *effective, kind,
-                                  rank, cancel, ap)
-                 : hbp::Aggregate(column.hbp(), *effective, kind, rank,
-                                  cancel, ap);
+        const HbpColumn& col = column.hbp();
+        agg = serial ? hbp::Aggregate(col, f, kind, rank, cancel, ap)
+                     : par::Aggregate(*session_, col, f, kind, rank, cancel,
+                                      ap);
       } else {
-        agg = mt ? par_nbp::Aggregate(*pool_, column.hbp(), *effective, kind,
-                                      rank, cancel, ap)
-                 : nbp::Aggregate(column.hbp(), *effective, kind, rank,
-                                  cancel, ap);
+        const HbpColumn& col = column.hbp();
+        agg = serial ? nbp::Aggregate(col, f, kind, rank, cancel, ap)
+                     : par_nbp::Aggregate(*session_, col, f, kind, rank,
+                                          cancel, ap);
       }
       break;
+    }
     case Layout::kNaive:
       agg = naive::Aggregate(column.naive(), *effective, kind, rank, cancel,
                              ap);
@@ -530,7 +532,6 @@ StatusOr<QueryResult> Engine::AggregateImpl(const Table& table, AggKind kind,
       break;
   }
   const std::uint64_t agg_cycles = agg_timer.ElapsedCycles();
-  ICP_RETURN_IF_ERROR(CheckPool());
   ICP_RETURN_IF_ERROR(CheckSession());
   if (cancel != nullptr && cancel->ShouldStop()) return cancel->ToStatus();
   if (qs != nullptr) {
@@ -823,15 +824,9 @@ Engine::SinglePassGroupBy(const Table& table, const Query& query,
 
   groupby::Stats gstats;
   const obs::StageTimer agg_timer;
-  auto groups_or = [&] {
-    if (session_ != nullptr) {
-      return groupby::Execute(in, gopts, *session_, &cancel, &gstats);
-    }
-    StaticPoolExecutor ex(*pool_);
-    return groupby::Execute(in, gopts, ex, &cancel, &gstats);
-  }();
+  auto groups_or =
+      groupby::Execute(in, gopts, *session_, &cancel, &gstats);
   const std::uint64_t agg_cycles = agg_timer.ElapsedCycles();
-  ICP_RETURN_IF_ERROR(CheckPool());
   ICP_RETURN_IF_ERROR(CheckSession());
   ICP_RETURN_IF_ERROR(groups_or.status());
 
@@ -1142,7 +1137,7 @@ std::string FormatExplainAnalyze(const obs::QueryStats& stats,
             static_cast<unsigned long long>(stats.groupby_merge_entries),
             static_cast<unsigned long long>(stats.groupby_partitions));
   }
-  if (stats.granted_parallelism > 0) {
+  if (stats.sched_morsels_dispatched > 0) {
     AppendF(&out,
             "sched:  parallelism=%d morsels=%llu/%llu cancelled=%llu "
             "steals=%llu queued_cycles=%llu\n",

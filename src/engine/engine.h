@@ -24,13 +24,13 @@
 #include "engine/table.h"
 #include "obs/query_stats.h"
 #include "obs/stage_timer.h"
-#include "parallel/thread_pool.h"
 #include "util/cancellation.h"
 #include "util/status.h"
 
 namespace icp {
 
 namespace sched {
+class MorselScheduler;
 class QueryGovernor;
 class QuerySession;
 }  // namespace sched
@@ -39,14 +39,19 @@ struct ExecOptions {
   /// Aggregation implementation (scans are always bit-parallel, as in the
   /// paper: both methods take the filter bit vector as input).
   AggMethod method = AggMethod::kBitParallel;
-  /// Worker threads (1 = single-threaded).
+  /// Worker threads (1 = single-threaded). An ungoverned engine owns a
+  /// private morsel scheduler with threads - 1 background workers (none
+  /// at threads = 1); a governed one borrows the governor's.
   int threads = 1;
   /// Use the 256-bit SIMD kernels (bit-parallel method only; the column's
-  /// lanes == 4 packing is built lazily).
+  /// lanes == 4 packing is built lazily, once per column, thread-safely).
+  /// Multi-threaded and governed SIMD queries run on the morsel
+  /// scheduler like every other parallel phase.
   bool simd = false;
-  /// Cooperative cancellation: every aggregation kernel (scalar, SIMD,
-  /// naive/padded, multi-threaded) polls this token every
-  /// kCancelBatchSegments segments and the query returns Status kCancelled.
+  /// Cooperative cancellation: every scan and aggregation kernel (scalar,
+  /// SIMD, naive/padded, multi-threaded) polls this token every
+  /// kCancelBatchSegments segments (or once per morsel on the scheduler)
+  /// and the query returns Status kCancelled.
   /// Default-constructed tokens are inert (no overhead); the engine also
   /// observes the token between phases.
   CancellationToken cancel_token;
@@ -63,15 +68,17 @@ struct ExecOptions {
   /// stats costs one extra filter popcount per query plus the ScanStats /
   /// AggStats merges.
   obs::QueryStats* stats = nullptr;
-  /// Overload-safe concurrent execution: when non-null, every Execute /
-  /// ExecuteMulti / ExecuteGroupBy call first admits itself against the
-  /// governor (bounded queue, load shedding with kResourceExhausted,
-  /// degraded parallelism under load) and runs its bit-parallel
-  /// non-SIMD scan + aggregate phases on the governor's shared morsel
-  /// scheduler instead of this engine's private pool. SIMD and NBP
-  /// phases and the standalone EvaluateFilter / Aggregate entry points
-  /// keep the private pool (see docs/scheduler.md). Not owned; must
-  /// outlive the engine.
+  /// Overload-safe concurrent execution: when non-null, every public
+  /// entry point (Execute / ExecuteMulti / ExecuteGroupBy and the
+  /// standalone EvaluateFilter / Aggregate) first admits itself against
+  /// the governor (bounded queue, load shedding with kResourceExhausted,
+  /// degraded parallelism, scratch budgets) and runs every parallel
+  /// phase — bit-parallel, SIMD and NBP alike — on the governor's shared
+  /// morsel scheduler. When null the engine admits against a private
+  /// unbounded governor (never queues or sheds, unlimited scratch) over
+  /// its private scheduler; with threads = 1 it then runs the serial
+  /// kernels (see docs/scheduler.md). Not owned; must outlive the
+  /// engine.
   sched::QueryGovernor* governor = nullptr;
   /// Grouped-aggregation strategy: ExecuteGroupBy switches from the naive
   /// per-code scan loop to the single-pass operator (src/groupby/) when
@@ -127,6 +134,9 @@ struct QueryResult {
 class Engine {
  public:
   explicit Engine(ExecOptions options = ExecOptions());
+  ~Engine();
+  Engine(Engine&&) noexcept;
+  Engine& operator=(Engine&&) noexcept;
 
   const ExecOptions& options() const { return options_; }
 
@@ -184,9 +194,9 @@ class Engine {
   };
 
  private:
-  /// Admits the query against options().governor for the duration of one
-  /// public entry point and copies the session's scheduling stats into
-  /// options().stats on exit. No-op when ungoverned.
+  /// Admits the query against governor_ for the duration of one public
+  /// entry point and copies the session's scheduling stats into
+  /// options().stats on exit.
   struct SessionScope;
 
   /// The per-call deadline budget as an absolute deadline (nullopt when
@@ -194,10 +204,6 @@ class Engine {
   /// and every execution phase share one deadline.
   std::optional<std::chrono::steady_clock::time_point> AbsoluteDeadline()
       const;
-  /// Converts the per-call deadline budget into an absolute deadline and
-  /// pairs it with the token. Called once at each public entry point so the
-  /// whole query (all phases) shares one deadline.
-  CancelContext MakeCancelContext() const;
 
   // The public entry points wrap these: the Internal variants carry the
   // whole execution, the wrappers add the telemetry epilogue
@@ -240,8 +246,7 @@ class Engine {
       const Table::Column& agg, const FilterBitVector& base,
       std::uint64_t scan_cycles, const CancelContext& cancel);
   /// The single-pass GROUP BY strategy (src/groupby/): thread-local
-  /// tables + radix spill + parallel merge on the session's scheduler or
-  /// the private pool.
+  /// tables + radix spill + parallel merge on the session's scheduler.
   StatusOr<std::vector<std::pair<std::int64_t, QueryResult>>>
   SinglePassGroupBy(const Table& table, const Query& query,
                     const Table::Column& group, const Table::Column& agg,
@@ -249,19 +254,26 @@ class Engine {
                     const CancelContext& cancel);
   StatusOr<TriState> ScanLeaf(const Table& table, const FilterExpr& leaf,
                               const CancelContext* cancel);
-  /// Turns a dropped thread-pool task ("thread_pool/task" failpoint) into a
-  /// Status so multi-threaded phases fail cleanly after the region joins.
-  Status CheckPool();
   /// Surfaces the active session's latched error (scratch budget
-  /// exhausted, dropped morsel) after a governed phase. Ok when
-  /// ungoverned.
+  /// exhausted, dropped morsel) after a phase.
   Status CheckSession();
+  /// True on the one path that bypasses the scheduler: ungoverned with
+  /// threads = 1, which runs the serial kernels.
+  bool Serial() const {
+    return options_.governor == nullptr && options_.threads == 1;
+  }
 
   ExecOptions options_;
-  std::unique_ptr<ThreadPool> pool_;
-  /// Session of the governed entry point currently on this engine's call
-  /// stack (engines are single-query objects; set/cleared by
-  /// SessionScope).
+  /// The private scheduler and unbounded governor of an ungoverned
+  /// engine (both null when options_.governor is set). Declared so the
+  /// governor is destroyed before its scheduler.
+  std::unique_ptr<sched::MorselScheduler> private_scheduler_;
+  std::unique_ptr<sched::QueryGovernor> private_governor_;
+  /// options_.governor, or private_governor_ when ungoverned.
+  sched::QueryGovernor* governor_ = nullptr;
+  /// Session of the entry point currently on this engine's call stack
+  /// (engines are single-query objects; set/cleared by SessionScope, so
+  /// it is non-null inside every public entry point).
   sched::QuerySession* session_ = nullptr;
 };
 

@@ -2,6 +2,7 @@
 
 
 #include <algorithm>
+#include <mutex>
 #include <utility>
 
 namespace icp {
@@ -20,24 +21,22 @@ int Table::Column::values_per_segment() const {
 }
 
 const VbpColumn& Table::Column::vbp_simd() const {
-  if (!has_vbp_simd_) {
+  std::call_once(vbp_simd_once_, [this] {
     VbpColumn::Options options;
     options.tau = vbp_.tau();
     options.lanes = 4;
     vbp_simd_ = VbpColumn::Pack(codes_, encoder_.bit_width(), options);
-    has_vbp_simd_ = true;
-  }
+  });
   return vbp_simd_;
 }
 
 const HbpColumn& Table::Column::hbp_simd() const {
-  if (!has_hbp_simd_) {
+  std::call_once(hbp_simd_once_, [this] {
     HbpColumn::Options options;
     options.tau = hbp_.tau();
     options.lanes = 4;
     hbp_simd_ = HbpColumn::Pack(codes_, encoder_.bit_width(), options);
-    has_hbp_simd_ = true;
-  }
+  });
   return hbp_simd_;
 }
 

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -82,7 +83,8 @@ class Table {
     const NaiveColumn& naive() const { return naive_; }
     const PaddedColumn& padded() const { return padded_; }
 
-    /// Lazily-built SIMD (lanes == 4) packings.
+    /// Lazily-built SIMD (lanes == 4) packings. Thread-safe: concurrent
+    /// first calls (several engines on one Table) pack exactly once.
     const VbpColumn& vbp_simd() const;
     const HbpColumn& hbp_simd() const;
 
@@ -109,10 +111,10 @@ class Table {
     HbpColumn hbp_;
     NaiveColumn naive_;
     PaddedColumn padded_;
+    mutable std::once_flag vbp_simd_once_;
+    mutable std::once_flag hbp_simd_once_;
     mutable VbpColumn vbp_simd_;
     mutable HbpColumn hbp_simd_;
-    mutable bool has_vbp_simd_ = false;
-    mutable bool has_hbp_simd_ = false;
     bool nullable_ = false;
     FilterBitVector validity_;
   };

@@ -58,7 +58,6 @@
 #include "parallel/executor.h"            // IWYU pragma: export
 #include "parallel/parallel_aggregate.h"  // IWYU pragma: export
 #include "parallel/parallel_nbp.h"        // IWYU pragma: export
-#include "parallel/thread_pool.h"         // IWYU pragma: export
 #include "sched/admission.h"              // IWYU pragma: export
 #include "sched/morsel.h"                 // IWYU pragma: export
 #include "sched/scheduler.h"              // IWYU pragma: export

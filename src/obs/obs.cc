@@ -104,12 +104,6 @@ ICP_OBS_DEFINE_COUNTER(CancelChecks, "cancel.checks",
 ICP_OBS_DEFINE_COUNTER(FailpointHits, "failpoint.hits",
                        "failpoints that actually fired (injected failures "
                        "taken)")
-ICP_OBS_DEFINE_COUNTER(PoolRegions, "pool.regions",
-                       "thread-pool parallel regions run to the barrier")
-ICP_OBS_DEFINE_COUNTER(PoolTasks, "pool.tasks",
-                       "per-worker tasks run inside pool regions (regions "
-                       "x workers; the barrier pool has no queue or "
-                       "stealing)")
 ICP_OBS_DEFINE_COUNTER(EngineQueries, "engine.queries",
                        "engine query executions (Execute / ExecuteMulti / "
                        "ExecuteGroupBy entry points)")
@@ -191,8 +185,6 @@ void RegisterAllCounters() {
   KernForceClamped();
   CancelChecks();
   FailpointHits();
-  PoolRegions();
-  PoolTasks();
   EngineQueries();
   SchedMorselsDispatched();
   SchedMorselsCompleted();

@@ -7,7 +7,7 @@
 //   * a counter registry (this header + obs.cc): relaxed-atomic uint64
 //     counters registered once at first use, incremented through the
 //     ICP_OBS_ADD macro. Increments happen at batch granularity (once per
-//     scan leaf, per aggregate, per pool region — never per word), so the
+//     scan leaf, per aggregate, per morsel — never per word), so the
 //     enabled layer costs well under the 2% budget recorded in
 //     docs/observability.md.
 //   * per-query QueryStats (query_stats.h) carried via ExecOptions and
@@ -130,8 +130,6 @@ Counter& KernDispatchAvx512();
 Counter& KernForceClamped();
 Counter& CancelChecks();
 Counter& FailpointHits();
-Counter& PoolRegions();
-Counter& PoolTasks();
 Counter& EngineQueries();
 Counter& SchedMorselsDispatched();
 Counter& SchedMorselsCompleted();

@@ -5,7 +5,7 @@
 // converted to microseconds at write time using a paired
 // (rdtsc, steady_clock) calibration taken when tracing was enabled and
 // again when the file is written. Recording takes a mutex — spans are
-// region-granularity (one per pool task / engine stage), never per-word,
+// region-granularity (one per morsel / engine stage), never per-word,
 // so contention is irrelevant and the hot loops stay untouched.
 //
 // The whole facility compiles out under ICP_OBS=0: the macros expand to
@@ -92,7 +92,7 @@ inline bool WriteChromeTrace(const std::string&) { return false; }
 }  // namespace icp::obs
 
 /// Scoped span macro for instrumented regions:
-///   ICP_OBS_TRACE_SPAN("pool.task", worker_index);
+///   ICP_OBS_TRACE_SPAN("sched.morsel", slot);
 /// Expands to nothing under ICP_OBS=0 so hot TUs carry no obs symbols.
 #if ICP_OBS
 #define ICP_OBS_TRACE_SPAN(name, tid) \

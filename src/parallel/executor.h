@@ -1,20 +1,16 @@
 // Execution-strategy seam between the parallel aggregation drivers and
 // whatever supplies their worker slots.
 //
-// The drivers in parallel_aggregate.{h,cc} used to partition segments
-// statically across a private ThreadPool. ParallelExecutor abstracts the
-// "run this body over [0, total) with bounded worker slots" contract so
-// the same drivers run on either:
+// ParallelExecutor abstracts the "run this body over [0, total) with
+// bounded worker slots" contract. Its one production implementation is
+// sched::QuerySession: the morsel-driven scheduler (small segment ranges
+// pulled by a shared worker pool with stealing; admission control and
+// per-query budgets in front). Every engine owns or borrows one, so
+// every parallel region of every query runs on the same substrate.
 //
-//   * StaticPoolExecutor — the legacy static split over a ThreadPool
-//     (one contiguous partition per worker, batched for cancellation);
-//   * sched::QuerySession — the morsel-driven scheduler (small segment
-//     ranges pulled by a shared worker pool with stealing; admission
-//     control and per-query budgets in front).
-//
-// The virtual call happens once per batch/morsel (~kMorselSegments
-// segments of kernel work), never per word, so the seam costs nothing
-// measurable (see docs/scheduler.md for the overhead guard).
+// The virtual call happens once per morsel (~kMorselSegments segments
+// of kernel work), never per word, so the seam costs nothing measurable
+// (see docs/scheduler.md for the overhead guard).
 
 #ifndef ICP_PARALLEL_EXECUTOR_H_
 #define ICP_PARALLEL_EXECUTOR_H_
@@ -22,7 +18,6 @@
 #include <cstddef>
 #include <functional>
 
-#include "parallel/thread_pool.h"
 #include "util/cancellation.h"
 
 namespace icp {
@@ -56,33 +51,6 @@ class ParallelExecutor {
   virtual void ParallelFor(
       std::size_t total, const CancelContext* cancel,
       const std::function<void(int, std::size_t, std::size_t)>& fn) = 0;
-};
-
-/// The legacy strategy: one contiguous static partition per pool worker,
-/// chunked by kCancelBatchSegments for cancellation. Unlimited scratch.
-class StaticPoolExecutor final : public ParallelExecutor {
- public:
-  explicit StaticPoolExecutor(ThreadPool& pool) : pool_(pool) {}
-
-  int max_slots() const override { return pool_.num_threads(); }
-
-  bool AccountScratch(std::size_t) override { return true; }
-
-  void ParallelFor(std::size_t total, const CancelContext* cancel,
-                   const std::function<void(int, std::size_t, std::size_t)>&
-                       fn) override {
-    pool_.RunPerThread([&](int index) {
-      const auto [begin, end] =
-          PartitionRange(total, pool_.num_threads(), index);
-      ForEachCancellableBatch(cancel, begin, end,
-                              [&](std::size_t b, std::size_t e) {
-                                fn(index, b, e);
-                              });
-    });
-  }
-
- private:
-  ThreadPool& pool_;
 };
 
 }  // namespace icp

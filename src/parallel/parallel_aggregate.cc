@@ -55,11 +55,6 @@ std::uint64_t Count(ParallelExecutor& ex, const FilterBitVector& filter) {
   return total;
 }
 
-std::uint64_t Count(ThreadPool& pool, const FilterBitVector& filter) {
-  StaticPoolExecutor ex(pool);
-  return Count(ex, filter);
-}
-
 FilterBitVector Scan(ParallelExecutor& ex, const VbpColumn& column,
                      CompareOp op, std::uint64_t c1, std::uint64_t c2,
                      const CancelContext* cancel, ScanStats* stats) {
@@ -90,20 +85,6 @@ FilterBitVector Scan(ParallelExecutor& ex, const HbpColumn& column,
                  });
   MergeLocalScanStats(locals, ex.max_slots(), stats);
   return out;
-}
-
-FilterBitVector Scan(ThreadPool& pool, const VbpColumn& column, CompareOp op,
-                     std::uint64_t c1, std::uint64_t c2,
-                     const CancelContext* cancel, ScanStats* stats) {
-  StaticPoolExecutor ex(pool);
-  return Scan(ex, column, op, c1, c2, cancel, stats);
-}
-
-FilterBitVector Scan(ThreadPool& pool, const HbpColumn& column, CompareOp op,
-                     std::uint64_t c1, std::uint64_t c2,
-                     const CancelContext* cancel, ScanStats* stats) {
-  StaticPoolExecutor ex(pool);
-  return Scan(ex, column, op, c1, c2, cancel, stats);
 }
 
 UInt128 Sum(ParallelExecutor& ex, const VbpColumn& column,
@@ -148,18 +129,6 @@ UInt128 Sum(ParallelExecutor& ex, const HbpColumn& column,
     }
   }
   return hbp::CombineGroupSums(column, group_sums.data());
-}
-
-UInt128 Sum(ThreadPool& pool, const VbpColumn& column,
-            const FilterBitVector& filter, const CancelContext* cancel) {
-  StaticPoolExecutor ex(pool);
-  return Sum(ex, column, filter, cancel);
-}
-
-UInt128 Sum(ThreadPool& pool, const HbpColumn& column,
-            const FilterBitVector& filter, const CancelContext* cancel) {
-  StaticPoolExecutor ex(pool);
-  return Sum(ex, column, filter, cancel);
 }
 
 namespace {
@@ -256,35 +225,6 @@ std::optional<std::uint64_t> Max(ParallelExecutor& ex, const HbpColumn& column,
                                  const CancelContext* cancel,
                                  AggStats* stats) {
   return ExtremeHbp(ex, column, filter, /*is_min=*/false, cancel, stats);
-}
-
-std::optional<std::uint64_t> Min(ThreadPool& pool, const VbpColumn& column,
-                                 const FilterBitVector& filter,
-                                 const CancelContext* cancel,
-                                 AggStats* stats) {
-  StaticPoolExecutor ex(pool);
-  return Min(ex, column, filter, cancel, stats);
-}
-std::optional<std::uint64_t> Max(ThreadPool& pool, const VbpColumn& column,
-                                 const FilterBitVector& filter,
-                                 const CancelContext* cancel,
-                                 AggStats* stats) {
-  StaticPoolExecutor ex(pool);
-  return Max(ex, column, filter, cancel, stats);
-}
-std::optional<std::uint64_t> Min(ThreadPool& pool, const HbpColumn& column,
-                                 const FilterBitVector& filter,
-                                 const CancelContext* cancel,
-                                 AggStats* stats) {
-  StaticPoolExecutor ex(pool);
-  return Min(ex, column, filter, cancel, stats);
-}
-std::optional<std::uint64_t> Max(ThreadPool& pool, const HbpColumn& column,
-                                 const FilterBitVector& filter,
-                                 const CancelContext* cancel,
-                                 AggStats* stats) {
-  StaticPoolExecutor ex(pool);
-  return Max(ex, column, filter, cancel, stats);
 }
 
 std::optional<std::uint64_t> RankSelect(ParallelExecutor& ex,
@@ -389,24 +329,6 @@ std::optional<std::uint64_t> RankSelect(ParallelExecutor& ex,
   return result;
 }
 
-std::optional<std::uint64_t> RankSelect(ThreadPool& pool,
-                                        const VbpColumn& column,
-                                        const FilterBitVector& filter,
-                                        std::uint64_t r,
-                                        const CancelContext* cancel) {
-  StaticPoolExecutor ex(pool);
-  return RankSelect(ex, column, filter, r, cancel);
-}
-
-std::optional<std::uint64_t> RankSelect(ThreadPool& pool,
-                                        const HbpColumn& column,
-                                        const FilterBitVector& filter,
-                                        std::uint64_t r,
-                                        const CancelContext* cancel) {
-  StaticPoolExecutor ex(pool);
-  return RankSelect(ex, column, filter, r, cancel);
-}
-
 std::optional<std::uint64_t> Median(ParallelExecutor& ex,
                                     const VbpColumn& column,
                                     const FilterBitVector& filter,
@@ -423,20 +345,6 @@ std::optional<std::uint64_t> Median(ParallelExecutor& ex,
   const std::uint64_t count = Count(ex, filter);
   if (count == 0) return std::nullopt;
   return RankSelect(ex, column, filter, LowerMedianRank(count), cancel);
-}
-
-std::optional<std::uint64_t> Median(ThreadPool& pool, const VbpColumn& column,
-                                    const FilterBitVector& filter,
-                                    const CancelContext* cancel) {
-  StaticPoolExecutor ex(pool);
-  return Median(ex, column, filter, cancel);
-}
-
-std::optional<std::uint64_t> Median(ThreadPool& pool, const HbpColumn& column,
-                                    const FilterBitVector& filter,
-                                    const CancelContext* cancel) {
-  StaticPoolExecutor ex(pool);
-  return Median(ex, column, filter, cancel);
 }
 
 namespace {
@@ -491,22 +399,6 @@ AggregateResult Aggregate(ParallelExecutor& ex, const HbpColumn& column,
                           AggStats* stats) {
   ICP_OBS_INCREMENT(AggPathHbp);
   return AggregateImpl(ex, column, filter, kind, rank, cancel, stats);
-}
-
-AggregateResult Aggregate(ThreadPool& pool, const VbpColumn& column,
-                          const FilterBitVector& filter, AggKind kind,
-                          std::uint64_t rank, const CancelContext* cancel,
-                          AggStats* stats) {
-  StaticPoolExecutor ex(pool);
-  return Aggregate(ex, column, filter, kind, rank, cancel, stats);
-}
-
-AggregateResult Aggregate(ThreadPool& pool, const HbpColumn& column,
-                          const FilterBitVector& filter, AggKind kind,
-                          std::uint64_t rank, const CancelContext* cancel,
-                          AggStats* stats) {
-  StaticPoolExecutor ex(pool);
-  return Aggregate(ex, column, filter, kind, rank, cancel, stats);
 }
 
 }  // namespace icp::par

@@ -1,16 +1,12 @@
 // Multi-threaded drivers for the bit-parallel scans and aggregates
 // (paper Section IV-B).
 //
-// Every driver runs against a ParallelExecutor (executor.h), which
-// decides how [0, num_segments) is handed to worker slots:
+// Every driver runs against a ParallelExecutor (executor.h) — in
+// practice a sched::QuerySession, whose morsel-driven scheduler hands
+// [0, num_segments) to worker slots in small morsels and shares workers
+// across concurrent queries with stealing and admission control.
 //
-//   * the ThreadPool overloads keep the paper's static split — one
-//     contiguous partition per worker, merged on the calling thread;
-//   * the ParallelExecutor overloads additionally accept
-//     sched::QuerySession, whose morsel-driven scheduler shares workers
-//     across concurrent queries with stealing and admission control.
-//
-// Partial-state shape is identical in both:
+// Partial state per kind:
 //   SUM    — per-slot bSum / group-sum arrays, added together;
 //   MIN/MAX — per-slot running extreme segments, folded with SLOTMIN;
 //   MEDIAN — the bit/bit-group loop is inherently global: every iteration
@@ -34,7 +30,6 @@
 #include "layout/hbp_column.h"
 #include "layout/vbp_column.h"
 #include "parallel/executor.h"
-#include "parallel/thread_pool.h"
 #include "scan/predicate.h"
 #include "util/cancellation.h"
 
@@ -42,7 +37,6 @@ namespace icp::par {
 
 /// Parallel COUNT: popcount of the filter, partitioned across slots.
 std::uint64_t Count(ParallelExecutor& ex, const FilterBitVector& filter);
-std::uint64_t Count(ThreadPool& pool, const FilterBitVector& filter);
 
 /// Parallel bit-parallel filter scans. Every entry point below takes an
 /// optional CancelContext: the executor checks it at least once per
@@ -59,14 +53,6 @@ FilterBitVector Scan(ParallelExecutor& ex, const HbpColumn& column,
                      CompareOp op, std::uint64_t c1, std::uint64_t c2 = 0,
                      const CancelContext* cancel = nullptr,
                      ScanStats* stats = nullptr);
-FilterBitVector Scan(ThreadPool& pool, const VbpColumn& column, CompareOp op,
-                     std::uint64_t c1, std::uint64_t c2 = 0,
-                     const CancelContext* cancel = nullptr,
-                     ScanStats* stats = nullptr);
-FilterBitVector Scan(ThreadPool& pool, const HbpColumn& column, CompareOp op,
-                     std::uint64_t c1, std::uint64_t c2 = 0,
-                     const CancelContext* cancel = nullptr,
-                     ScanStats* stats = nullptr);
 
 /// Parallel SUM. The per-slot partial arrays count against the
 /// executor's scratch budget; a refused budget returns 0 and the
@@ -75,12 +61,6 @@ UInt128 Sum(ParallelExecutor& ex, const VbpColumn& column,
             const FilterBitVector& filter,
             const CancelContext* cancel = nullptr);
 UInt128 Sum(ParallelExecutor& ex, const HbpColumn& column,
-            const FilterBitVector& filter,
-            const CancelContext* cancel = nullptr);
-UInt128 Sum(ThreadPool& pool, const VbpColumn& column,
-            const FilterBitVector& filter,
-            const CancelContext* cancel = nullptr);
-UInt128 Sum(ThreadPool& pool, const HbpColumn& column,
             const FilterBitVector& filter,
             const CancelContext* cancel = nullptr);
 
@@ -106,22 +86,6 @@ std::optional<std::uint64_t> Max(ParallelExecutor& ex,
                                  const FilterBitVector& filter,
                                  const CancelContext* cancel = nullptr,
                                  AggStats* stats = nullptr);
-std::optional<std::uint64_t> Min(ThreadPool& pool, const VbpColumn& column,
-                                 const FilterBitVector& filter,
-                                 const CancelContext* cancel = nullptr,
-                                 AggStats* stats = nullptr);
-std::optional<std::uint64_t> Max(ThreadPool& pool, const VbpColumn& column,
-                                 const FilterBitVector& filter,
-                                 const CancelContext* cancel = nullptr,
-                                 AggStats* stats = nullptr);
-std::optional<std::uint64_t> Min(ThreadPool& pool, const HbpColumn& column,
-                                 const FilterBitVector& filter,
-                                 const CancelContext* cancel = nullptr,
-                                 AggStats* stats = nullptr);
-std::optional<std::uint64_t> Max(ThreadPool& pool, const HbpColumn& column,
-                                 const FilterBitVector& filter,
-                                 const CancelContext* cancel = nullptr,
-                                 AggStats* stats = nullptr);
 
 /// Parallel r-selection / MEDIAN. The iterative loops additionally check
 /// the context between bit / bit-group iterations and bail out with
@@ -136,28 +100,12 @@ std::optional<std::uint64_t> RankSelect(ParallelExecutor& ex,
                                         const FilterBitVector& filter,
                                         std::uint64_t r,
                                         const CancelContext* cancel = nullptr);
-std::optional<std::uint64_t> RankSelect(ThreadPool& pool,
-                                        const VbpColumn& column,
-                                        const FilterBitVector& filter,
-                                        std::uint64_t r,
-                                        const CancelContext* cancel = nullptr);
-std::optional<std::uint64_t> RankSelect(ThreadPool& pool,
-                                        const HbpColumn& column,
-                                        const FilterBitVector& filter,
-                                        std::uint64_t r,
-                                        const CancelContext* cancel = nullptr);
 std::optional<std::uint64_t> Median(ParallelExecutor& ex,
                                     const VbpColumn& column,
                                     const FilterBitVector& filter,
                                     const CancelContext* cancel = nullptr);
 std::optional<std::uint64_t> Median(ParallelExecutor& ex,
                                     const HbpColumn& column,
-                                    const FilterBitVector& filter,
-                                    const CancelContext* cancel = nullptr);
-std::optional<std::uint64_t> Median(ThreadPool& pool, const VbpColumn& column,
-                                    const FilterBitVector& filter,
-                                    const CancelContext* cancel = nullptr);
-std::optional<std::uint64_t> Median(ThreadPool& pool, const HbpColumn& column,
                                     const FilterBitVector& filter,
                                     const CancelContext* cancel = nullptr);
 
@@ -170,16 +118,6 @@ AggregateResult Aggregate(ParallelExecutor& ex, const VbpColumn& column,
                           const CancelContext* cancel = nullptr,
                           AggStats* stats = nullptr);
 AggregateResult Aggregate(ParallelExecutor& ex, const HbpColumn& column,
-                          const FilterBitVector& filter, AggKind kind,
-                          std::uint64_t rank = 0,
-                          const CancelContext* cancel = nullptr,
-                          AggStats* stats = nullptr);
-AggregateResult Aggregate(ThreadPool& pool, const VbpColumn& column,
-                          const FilterBitVector& filter, AggKind kind,
-                          std::uint64_t rank = 0,
-                          const CancelContext* cancel = nullptr,
-                          AggStats* stats = nullptr);
-AggregateResult Aggregate(ThreadPool& pool, const HbpColumn& column,
                           const FilterBitVector& filter, AggKind kind,
                           std::uint64_t rank = 0,
                           const CancelContext* cancel = nullptr,

@@ -1,8 +1,8 @@
 // Multi-threaded driver for the NBP (reconstruct-then-aggregate) baseline,
-// so the Table II comparison runs both methods under the same thread budget.
-// Workers reconstruct the passing tuples of their segment partition; SUM/
-// MIN/MAX merge scalars, MEDIAN concatenates the per-thread value buffers
-// and selects the rank.
+// so the Table II comparison runs both methods under the same thread budget
+// and the same scheduler. Morsels reconstruct their passing tuples; SUM/
+// MIN/MAX fold into per-slot scalars, MEDIAN appends to per-slot value
+// buffers that are concatenated to select the rank.
 
 #ifndef ICP_PARALLEL_PARALLEL_NBP_H_
 #define ICP_PARALLEL_PARALLEL_NBP_H_
@@ -15,83 +15,78 @@
 #include "bitvector/filter_bit_vector.h"
 #include "core/aggregate.h"
 #include "core/nbp_aggregate.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 #include "util/bits.h"
 #include "util/cancellation.h"
 
 namespace icp::par_nbp {
 
-/// The optional CancelContext is checked every kCancelBatchSegments segments
-/// of each worker's partition (same contract as par:: — workers always
-/// rejoin the barrier and the engine discards the partial result).
+/// The optional CancelContext is polled by the executor once per morsel
+/// (same contract as par:: — participants drain and the engine discards
+/// the partial result).
 template <typename ColumnT>
-UInt128 Sum(ThreadPool& pool, const ColumnT& column,
+UInt128 Sum(ParallelExecutor& ex, const ColumnT& column,
             const FilterBitVector& filter,
             const CancelContext* cancel = nullptr) {
-  std::vector<UInt128> partial(pool.num_threads(), 0);
-  pool.RunPerThread([&](int index) {
-    const auto [begin, end] =
-        PartitionRange(filter.num_segments(), pool.num_threads(), index);
-    UInt128 sum = 0;
-    ForEachCancellableBatch(cancel, begin, end,
-                            [&](std::size_t b, std::size_t e) {
-                              nbp::ForEachPassingRange(
-                                  column, filter, b, e,
-                                  [&](std::uint64_t v) { sum += v; });
-                            });
-    partial[index] = sum;
-  });
+  std::vector<UInt128> partial(ex.max_slots(), 0);
+  ex.ParallelFor(filter.num_segments(), cancel,
+                 [&](int slot, std::size_t b, std::size_t e) {
+                   UInt128 sum = 0;
+                   nbp::ForEachPassingRange(
+                       column, filter, b, e,
+                       [&](std::uint64_t v) { sum += v; });
+                   partial[slot] += sum;
+                 });
   UInt128 total = 0;
   for (const UInt128& p : partial) total += p;
   return total;
 }
 
 template <typename ColumnT>
-std::optional<std::uint64_t> Extreme(ThreadPool& pool, const ColumnT& column,
+std::optional<std::uint64_t> Extreme(ParallelExecutor& ex,
+                                     const ColumnT& column,
                                      const FilterBitVector& filter,
                                      bool is_min,
                                      const CancelContext* cancel = nullptr) {
-  std::vector<std::optional<std::uint64_t>> partial(pool.num_threads());
-  pool.RunPerThread([&](int index) {
-    const auto [begin, end] =
-        PartitionRange(filter.num_segments(), pool.num_threads(), index);
-    std::optional<std::uint64_t> best;
-    ForEachCancellableBatch(
-        cancel, begin, end, [&](std::size_t b, std::size_t e) {
-          nbp::ForEachPassingRange(column, filter, b, e,
-                                   [&](std::uint64_t v) {
-                                     if (!best.has_value() ||
-                                         (is_min ? v < *best : v > *best)) {
-                                       best = v;
-                                     }
-                                   });
-        });
-    partial[index] = best;
-  });
+  const auto better = [is_min](std::uint64_t v,
+                               const std::optional<std::uint64_t>& best) {
+    return !best.has_value() || (is_min ? v < *best : v > *best);
+  };
+  std::vector<std::optional<std::uint64_t>> partial(ex.max_slots());
+  ex.ParallelFor(filter.num_segments(), cancel,
+                 [&](int slot, std::size_t b, std::size_t e) {
+                   std::optional<std::uint64_t>& best = partial[slot];
+                   nbp::ForEachPassingRange(column, filter, b, e,
+                                            [&](std::uint64_t v) {
+                                              if (better(v, best)) best = v;
+                                            });
+                 });
   std::optional<std::uint64_t> best;
   for (const auto& p : partial) {
-    if (!p.has_value()) continue;
-    if (!best.has_value() || (is_min ? *p < *best : *p > *best)) best = p;
+    if (p.has_value() && better(*p, best)) best = p;
   }
   return best;
 }
 
 template <typename ColumnT>
-std::optional<std::uint64_t> Min(ThreadPool& pool, const ColumnT& column,
+std::optional<std::uint64_t> Min(ParallelExecutor& ex, const ColumnT& column,
                                  const FilterBitVector& filter,
                                  const CancelContext* cancel = nullptr) {
-  return Extreme(pool, column, filter, /*is_min=*/true, cancel);
+  return Extreme(ex, column, filter, /*is_min=*/true, cancel);
 }
 
 template <typename ColumnT>
-std::optional<std::uint64_t> Max(ThreadPool& pool, const ColumnT& column,
+std::optional<std::uint64_t> Max(ParallelExecutor& ex, const ColumnT& column,
                                  const FilterBitVector& filter,
                                  const CancelContext* cancel = nullptr) {
-  return Extreme(pool, column, filter, /*is_min=*/false, cancel);
+  return Extreme(ex, column, filter, /*is_min=*/false, cancel);
 }
 
+/// The per-slot value buffers plus their concatenation hold up to twice
+/// the passing count; both count against the executor's scratch budget
+/// before any value is reconstructed.
 template <typename ColumnT>
-std::optional<std::uint64_t> RankSelect(ThreadPool& pool,
+std::optional<std::uint64_t> RankSelect(ParallelExecutor& ex,
                                         const ColumnT& column,
                                         const FilterBitVector& filter,
                                         std::uint64_t r,
@@ -99,21 +94,21 @@ std::optional<std::uint64_t> RankSelect(ThreadPool& pool,
                                             nullptr) {
   const std::uint64_t count = filter.CountOnes();
   if (r < 1 || r > count) return std::nullopt;
-  std::vector<std::vector<std::uint64_t>> partial(pool.num_threads());
-  pool.RunPerThread([&](int index) {
-    const auto [begin, end] =
-        PartitionRange(filter.num_segments(), pool.num_threads(), index);
-    ForEachCancellableBatch(
-        cancel, begin, end, [&](std::size_t b, std::size_t e) {
-          nbp::ForEachPassingRange(
-              column, filter, b, e,
-              [&](std::uint64_t v) { partial[index].push_back(v); });
-        });
-  });
+  if (!ex.AccountScratch(2 * count * sizeof(std::uint64_t))) {
+    return std::nullopt;
+  }
+  std::vector<std::vector<std::uint64_t>> partial(ex.max_slots());
+  ex.ParallelFor(filter.num_segments(), cancel,
+                 [&](int slot, std::size_t b, std::size_t e) {
+                   nbp::ForEachPassingRange(
+                       column, filter, b, e,
+                       [&](std::uint64_t v) { partial[slot].push_back(v); });
+                 });
   std::vector<std::uint64_t> values;
   values.reserve(count);
   for (auto& p : partial) {
     values.insert(values.end(), p.begin(), p.end());
+    std::vector<std::uint64_t>().swap(p);
   }
   if (values.size() < r) return std::nullopt;  // cancelled mid-walk
   auto nth = values.begin() + static_cast<std::ptrdiff_t>(r - 1);
@@ -122,17 +117,18 @@ std::optional<std::uint64_t> RankSelect(ThreadPool& pool,
 }
 
 template <typename ColumnT>
-std::optional<std::uint64_t> Median(ThreadPool& pool, const ColumnT& column,
+std::optional<std::uint64_t> Median(ParallelExecutor& ex,
+                                    const ColumnT& column,
                                     const FilterBitVector& filter,
                                     const CancelContext* cancel = nullptr) {
-  return RankSelect(pool, column, filter, LowerMedianRank(filter.CountOnes()),
+  return RankSelect(ex, column, filter, LowerMedianRank(filter.CountOnes()),
                     cancel);
 }
 
 /// `stats`, when non-null, carries the CountFilterSegments liveness
 /// summary (same contract as nbp::Aggregate).
 template <typename ColumnT>
-AggregateResult Aggregate(ThreadPool& pool, const ColumnT& column,
+AggregateResult Aggregate(ParallelExecutor& ex, const ColumnT& column,
                           const FilterBitVector& filter, AggKind kind,
                           std::uint64_t rank = 0,
                           const CancelContext* cancel = nullptr,
@@ -146,19 +142,19 @@ AggregateResult Aggregate(ThreadPool& pool, const ColumnT& column,
       break;
     case AggKind::kSum:
     case AggKind::kAvg:
-      result.sum = Sum(pool, column, filter, cancel);
+      result.sum = Sum(ex, column, filter, cancel);
       break;
     case AggKind::kMin:
-      result.value = Min(pool, column, filter, cancel);
+      result.value = Min(ex, column, filter, cancel);
       break;
     case AggKind::kMax:
-      result.value = Max(pool, column, filter, cancel);
+      result.value = Max(ex, column, filter, cancel);
       break;
     case AggKind::kMedian:
-      result.value = Median(pool, column, filter, cancel);
+      result.value = Median(ex, column, filter, cancel);
       break;
     case AggKind::kRank:
-      result.value = RankSelect(pool, column, filter, rank, cancel);
+      result.value = RankSelect(ex, column, filter, rank, cancel);
       break;
   }
   if (kind != AggKind::kCount) CountFilterSegments(filter, stats);

@@ -38,7 +38,7 @@ struct QueryGovernor::Waiter {
 QueryGovernor::QueryGovernor(MorselScheduler& scheduler,
                              AdmissionOptions options)
     : scheduler_(scheduler), options_(options) {
-  ICP_CHECK_GE(options_.max_concurrent, 1);
+  ICP_CHECK_GE(options_.max_concurrent, 0);
   ICP_CHECK_GE(options_.max_queued, 0);
   ICP_CHECK_GE(options_.max_parallelism, 0);
 }
@@ -98,6 +98,12 @@ int QueryGovernor::GrantParallelismLocked() const {
 StatusOr<std::unique_ptr<QuerySession>> QueryGovernor::Admit(
     const CancellationToken& token,
     std::optional<std::chrono::steady_clock::time_point> deadline) {
+  if (options_.max_concurrent == 0) {
+    MutexLock lock(mu_);
+    ++active_;
+    return std::unique_ptr<QuerySession>(
+        new QuerySession(this, GrantParallelismLocked(), 0));
+  }
   // "sched/admit" simulates the governor shedding at the gate (e.g. an
   // operator-forced brownout): callers must handle kResourceExhausted on
   // any admission, not only when the queue is observably full.

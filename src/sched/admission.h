@@ -41,7 +41,10 @@
 namespace icp::sched {
 
 struct AdmissionOptions {
-  /// Queries allowed to hold sessions concurrently.
+  /// Queries allowed to hold sessions concurrently. 0 makes the governor
+  /// unbounded: every arrival is admitted at once — no queue, no
+  /// shedding, no admission telemetry. An engine built without a
+  /// governor runs its queries on such a private governor.
   int max_concurrent = 4;
   /// Bounded admission queue depth; arrivals beyond it are shed with
   /// kResourceExhausted instead of queueing unboundedly.

@@ -5,6 +5,9 @@
 #define ICP_SCHED_MORSEL_H_
 
 #include <cstddef>
+#include <utility>
+
+#include "util/check.h"
 
 namespace icp::sched {
 
@@ -20,12 +23,29 @@ struct Morsel {
 ///     (the queue itself drains instantly);
 ///   * the per-morsel dispatch cost (one mutex-guarded deque pop plus a
 ///     std::function call) is amortized over enough kernel work to keep
-///     single-query overhead versus the static split under the 5% guard
-///     in CI (see docs/scheduler.md and EXPERIMENTS.md);
+///     the parallelism-1 morsel path within 5% of the serial kernel, as
+///     CI guards (see docs/scheduler.md and EXPERIMENTS.md);
 ///   * a 1M-row column still yields dozens of morsels, enough for
 ///     stealing to rebalance skewed shards.
 inline constexpr std::size_t kMorselSegments = 1024;
 
 }  // namespace icp::sched
+
+namespace icp {
+
+/// The begin/end of chunk `index` when splitting `total` items
+/// into `parts` contiguous chunks as evenly as possible.
+inline std::pair<std::size_t, std::size_t> PartitionRange(std::size_t total,
+                                                          int parts,
+                                                          int index) {
+  ICP_DCHECK(parts >= 1 && index >= 0 && index < parts);
+  const std::size_t base = total / parts;
+  const std::size_t extra = total % parts;
+  const std::size_t idx = static_cast<std::size_t>(index);
+  const std::size_t begin = idx * base + (idx < extra ? idx : extra);
+  return {begin, begin + base + (idx < extra ? 1 : 0)};
+}
+
+}  // namespace icp
 
 #endif  // ICP_SCHED_MORSEL_H_

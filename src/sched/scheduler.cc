@@ -7,7 +7,6 @@
 
 #include "obs/obs.h"
 #include "obs/trace.h"
-#include "parallel/thread_pool.h"
 #include "util/check.h"
 #include "util/failpoint.h"
 
@@ -19,8 +18,10 @@ namespace icp::sched {
 // destruction.
 struct MorselScheduler::Region {
   // Guards `shards` (pops, steals, drains). Morsel bodies run outside it.
-  std::mutex mu;
-  std::vector<std::deque<Morsel>> shards;
+  Mutex mu;
+  std::vector<std::deque<Morsel>> shards ICP_GUARDED_BY(mu);
+  // not-guarded: set before the region is published (free_slots release
+  // store) and read-only afterwards.
   int parallelism = 0;
 
   /// Bitmask of claimable slots; bit i free <=> no participant currently
@@ -36,11 +37,13 @@ struct MorselScheduler::Region {
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::uint64_t> drops{0};
 
+  // not-guarded: set before publication, read-only afterwards.
   const CancelContext* cancel = nullptr;
+  // not-guarded: set before publication, read-only afterwards.
   const std::function<void(int, std::size_t, std::size_t)>* fn = nullptr;
 
-  std::mutex done_mu;
-  std::condition_variable done_cv;
+  Mutex done_mu;
+  std::condition_variable_any done_cv;
 };
 
 // Completes `n` morsels and pokes the region's caller (which may be
@@ -51,7 +54,7 @@ void MorselScheduler::FinishAndNotify(Region& r, std::uint64_t n) {
   // morsel's fn writes to the caller's final acquire load; the acquire
   // half chains prior participants' decrements.
   r.remaining.fetch_sub(n, std::memory_order_acq_rel);
-  { std::lock_guard<std::mutex> lock(r.done_mu); }
+  { MutexLock lock(r.done_mu); }
   r.done_cv.notify_all();
 }
 
@@ -65,7 +68,7 @@ MorselScheduler::MorselScheduler(int num_workers) {
 
 MorselScheduler::~MorselScheduler() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    MutexLock lock(mu_);
     ICP_CHECK(regions_.empty());  // sessions must not outlive the scheduler
     shutdown_ = true;
   }
@@ -99,7 +102,7 @@ bool MorselScheduler::TryRunOneMorsel(Region& r) {
   bool got = false;
   bool stolen = false;
   {
-    std::lock_guard<std::mutex> lock(r.mu);
+    MutexLock lock(r.mu);
     std::deque<Morsel>& own = r.shards[static_cast<std::size_t>(slot)];
     if (!own.empty()) {
       m = own.front();
@@ -137,7 +140,7 @@ bool MorselScheduler::TryRunOneMorsel(Region& r) {
   if (r.cancel != nullptr && r.cancel->active() && r.cancel->ShouldStop()) {
     std::uint64_t cleared = 0;
     {
-      std::lock_guard<std::mutex> lock(r.mu);
+      MutexLock lock(r.mu);
       // cancellation: exempt — this loop IS the post-cancel drain; it
       // discards queued morsels and must run to completion.
       for (std::deque<Morsel>& shard : r.shards) {
@@ -162,7 +165,7 @@ bool MorselScheduler::TryRunOneMorsel(Region& r) {
   // "sched/dequeue" simulates a dispatch that loses its morsel (worker
   // death between pop and run): the morsel never executes but the region
   // still completes; the drop surfaces as Status Internal via the
-  // session, mirroring ThreadPool::TakeTaskFailure.
+  // session.
   if (ICP_FAILPOINT("sched/dequeue")) {
     // order: relaxed — statistics; read after the region joined.
     r.drops.fetch_add(1, std::memory_order_relaxed);
@@ -198,7 +201,7 @@ void MorselScheduler::WorkerLoop() {
   while (true) {
     std::uint64_t seen = 0;
     {
-      std::lock_guard<std::mutex> lock(mu_);
+      MutexLock lock(mu_);
       if (shutdown_) return;
       snapshot = regions_;
       seen = epoch_;
@@ -216,12 +219,19 @@ void MorselScheduler::WorkerLoop() {
     }
     snapshot.clear();
     if (did_work) continue;
-    std::unique_lock<std::mutex> lock(mu_);
+    MutexLock lock(mu_);
     if (shutdown_) return;
     if (epoch_ != seen) continue;
-    // The timeout is a liveness backstop: freed slots do not bump the
-    // epoch, so without it a worker could sleep while work remains.
-    cv_.wait_for(lock, std::chrono::milliseconds(1));
+    if (regions_.empty()) {
+      // Idle: RunRegion bumps the epoch and notifies under mu_, and the
+      // destructor does the same for shutdown, so no wake can be lost.
+      cv_.wait(lock);
+    } else {
+      // The timeout is a liveness backstop while a region is active:
+      // freed slots do not bump the epoch, so without it a worker could
+      // sleep while work remains.
+      cv_.wait_for(lock, std::chrono::milliseconds(1));
+    }
   }
 }
 
@@ -240,15 +250,21 @@ void MorselScheduler::RunRegion(
   region->parallelism = p;
   region->cancel = cancel;
   region->fn = &fn;
-  region->shards.resize(static_cast<std::size_t>(p));
-  for (int i = 0; i < p; ++i) {
-    // Contiguous pre-distribution: uncontended, the region touches
-    // memory in the same order as the legacy static split.
-    const auto [mb, me] = PartitionRange(num_morsels, p, i);
-    for (std::size_t j = mb; j < me; ++j) {
-      region->shards[static_cast<std::size_t>(i)].push_back(
-          Morsel{j * kMorselSegments,
-                 std::min(total, (j + 1) * kMorselSegments)});
+  {
+    // Uncontended (the region is unpublished); taken so the guarded
+    // shards are only ever touched under their lock.
+    Region& r = *region;
+    MutexLock lock(r.mu);
+    r.shards.resize(static_cast<std::size_t>(p));
+    for (int i = 0; i < p; ++i) {
+      // Contiguous pre-distribution: uncontended, the region touches
+      // memory in the same order as a static split.
+      const auto [mb, me] = PartitionRange(num_morsels, p, i);
+      for (std::size_t j = mb; j < me; ++j) {
+        r.shards[static_cast<std::size_t>(i)].push_back(
+            Morsel{j * kMorselSegments,
+                   std::min(total, (j + 1) * kMorselSegments)});
+      }
     }
   }
   // order: relaxed — initialization before publication; the free_slots
@@ -265,7 +281,7 @@ void MorselScheduler::RunRegion(
   ICP_OBS_ADD(SchedMorselsDispatched, num_morsels);
 
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    MutexLock lock(mu_);
     regions_.push_back(region);
     ++epoch_;
   }
@@ -279,7 +295,7 @@ void MorselScheduler::RunRegion(
     // order: acquire(region-remaining) — pairs with FinishAndNotify's
     // acq_rel decrement so the caller sees every morsel's fn writes.
     if (region->remaining.load(std::memory_order_acquire) == 0) break;
-    std::unique_lock<std::mutex> lock(region->done_mu);
+    MutexLock lock(region->done_mu);
     region->done_cv.wait_for(
         lock, std::chrono::milliseconds(1), [&region] {
           // order: acquire(region-remaining) — same pairing as the
@@ -294,7 +310,7 @@ void MorselScheduler::RunRegion(
   }
 
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    MutexLock lock(mu_);
     regions_.erase(std::find(regions_.begin(), regions_.end(), region));
   }
 

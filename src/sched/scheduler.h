@@ -1,11 +1,11 @@
 // Morsel-driven scheduler: a shared worker pool that executes parallel
 // regions decomposed into small segment-range morsels (Leis et al.,
-// SIGMOD'14), replacing the one-static-partition-per-worker split for
-// governed queries.
+// SIGMOD'14). It is the engine's only thread substrate: governed engines
+// share a governor's scheduler, ungoverned ones own a private one.
 //
 // Each RunRegion call builds one region: `parallelism` shards, each a
 // deque of morsels distributed contiguously (so an uncontended region
-// touches memory in the same order as the static split). Participants —
+// touches memory in the order of a static per-worker split). Participants —
 // the calling thread plus any background workers — claim one of the
 // region's slots via an atomic bitmask, pop their own shard from the
 // front and steal from other shards' backs when theirs drains. Workers
@@ -31,12 +31,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "sched/morsel.h"
 #include "util/cancellation.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 
 namespace icp::sched {
 
@@ -58,7 +59,8 @@ class MorselScheduler {
  public:
   /// Starts `num_workers` background workers (>= 0). With zero workers
   /// every region runs entirely on its calling thread — deterministic,
-  /// which the scheduler tests exploit.
+  /// which the scheduler tests exploit — and no thread is started.
+  /// Idle workers block without polling while no region is registered.
   explicit MorselScheduler(int num_workers);
 
   MorselScheduler(const MorselScheduler&) = delete;
@@ -90,11 +92,13 @@ class MorselScheduler {
   /// Completes `n` morsels and wakes the region's caller.
   static void FinishAndNotify(Region& region, std::uint64_t n);
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<std::shared_ptr<Region>> regions_;
-  std::uint64_t epoch_ = 0;
-  bool shutdown_ = false;
+  Mutex mu_;
+  std::condition_variable_any cv_;
+  std::vector<std::shared_ptr<Region>> regions_ ICP_GUARDED_BY(mu_);
+  std::uint64_t epoch_ ICP_GUARDED_BY(mu_) = 0;
+  bool shutdown_ ICP_GUARDED_BY(mu_) = false;
+  // not-guarded: filled by the constructor and joined by the destructor,
+  // both single-threaded phases of the scheduler's lifetime.
   std::vector<std::thread> workers_;
 };
 

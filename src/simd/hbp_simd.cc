@@ -63,9 +63,14 @@ Word256 ResultWord(CompareOp op, Word256 md, const FieldCompareState256& a,
 
 FilterBitVector ScanHbp(const HbpColumn& column, CompareOp op,
                         std::uint64_t c1, std::uint64_t c2,
-                        ScanStats* stats) {
+                        ScanStats* stats, const CancelContext* cancel) {
   FilterBitVector out(column.num_values(), column.values_per_segment());
-  ScanHbpRange(column, op, c1, c2, 0, NumQuads(column), &out);
+  // Batches are whole quads: column.num_segments() is a multiple of 4.
+  ForEachCancellableBatch(cancel, 0, column.num_segments(),
+                          [&](std::size_t b, std::size_t e) {
+                            ScanHbpRange(column, op, c1, c2, b / 4, e / 4,
+                                        &out);
+                          });
   // Model: s sub-segment words per group per segment.
   RecordModeledScan(column.num_segments(),
                     column.num_segments() *
@@ -88,6 +93,9 @@ void ScanHbpRange(const HbpColumn& column, CompareOp op, std::uint64_t c1,
 
   bool all = false;
   if (ScanIsDegenerate(k, op, c1, &c2, &all)) {
+    // cancellation: exempt — ScanRange covers one cancel batch or morsel;
+    // the caller (ForEachCancellableBatch / per-morsel driver) polls
+    // between them.
     for (std::size_t seg = quad_begin * 4;
          seg < quad_end * 4 && seg < live_segments; ++seg) {
       out->SetSegmentWord(seg, all ? out->ValidMask(seg) : 0);
@@ -145,6 +153,7 @@ void ScanHbpRange(const HbpColumn& column, CompareOp op, std::uint64_t c1,
   }
   // Clear padding-segment words beyond the live range (aggregate kernels
   // load them as part of the final quad).
+  // cancellation: exempt — at most the final quad's padding segments.
   for (std::size_t seg = std::max(live_segments, quad_begin * 4);
        seg < quad_end * 4; ++seg) {
     f_words[seg] = 0;
@@ -255,9 +264,7 @@ std::optional<std::uint64_t> RankSelectHbp(const HbpColumn& column,
   if (r < 1 || r > u) return std::nullopt;
   const std::size_t quads = NumQuads(column);
   WordBuffer v(quads * 4);
-  for (std::size_t seg = 0; seg < filter.num_segments(); ++seg) {
-    v[seg] = filter.SegmentWord(seg);
-  }
+  std::copy_n(filter.words(), filter.num_segments(), v.data());
 
   const int s = column.field_width();
   const int tau = column.tau();

@@ -1,5 +1,6 @@
 #include "simd/simd_parallel.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "core/hbp_aggregate.h"
@@ -14,15 +15,20 @@ namespace {
 
 constexpr int kMaxThreads = 256;
 
+// Words of one slot's 256-value extreme state (4 lanes x up to 64 planes
+// or groups).
+constexpr std::size_t kSlotTempWords = kWordBits * 4;
+
 }  // namespace
 
-FilterBitVector ScanVbp(ThreadPool& pool, const VbpColumn& column,
+FilterBitVector ScanVbp(ParallelExecutor& ex, const VbpColumn& column,
                         CompareOp op, std::uint64_t c1, std::uint64_t c2,
-                        ScanStats* stats) {
+                        const CancelContext* cancel, ScanStats* stats) {
   FilterBitVector out(column.num_values(), VbpColumn::kValuesPerSegment);
-  pool.ParallelFor(NumQuads(column), [&](std::size_t begin, std::size_t end) {
-    ScanVbpRange(column, op, c1, c2, begin, end, &out);
-  });
+  ex.ParallelFor(NumQuads(column), cancel,
+                 [&](int, std::size_t b, std::size_t e) {
+                   ScanVbpRange(column, op, c1, c2, b, e, &out);
+                 });
   RecordModeledScan(column.num_segments(),
                     column.num_segments() *
                         static_cast<std::uint64_t>(column.bit_width()),
@@ -30,13 +36,14 @@ FilterBitVector ScanVbp(ThreadPool& pool, const VbpColumn& column,
   return out;
 }
 
-FilterBitVector ScanHbp(ThreadPool& pool, const HbpColumn& column,
+FilterBitVector ScanHbp(ParallelExecutor& ex, const HbpColumn& column,
                         CompareOp op, std::uint64_t c1, std::uint64_t c2,
-                        ScanStats* stats) {
+                        const CancelContext* cancel, ScanStats* stats) {
   FilterBitVector out(column.num_values(), column.values_per_segment());
-  pool.ParallelFor(NumQuads(column), [&](std::size_t begin, std::size_t end) {
-    ScanHbpRange(column, op, c1, c2, begin, end, &out);
-  });
+  ex.ParallelFor(NumQuads(column), cancel,
+                 [&](int, std::size_t b, std::size_t e) {
+                   ScanHbpRange(column, op, c1, c2, b, e, &out);
+                 });
   RecordModeledScan(column.num_segments(),
                     column.num_segments() *
                         static_cast<std::uint64_t>(column.num_groups()) *
@@ -45,40 +52,37 @@ FilterBitVector ScanHbp(ThreadPool& pool, const HbpColumn& column,
   return out;
 }
 
-UInt128 SumVbp(ThreadPool& pool, const VbpColumn& column,
+UInt128 SumVbp(ParallelExecutor& ex, const VbpColumn& column,
                const FilterBitVector& filter, const CancelContext* cancel) {
   const int k = column.bit_width();
-  std::vector<std::uint64_t> bit_sums(
-      static_cast<std::size_t>(pool.num_threads()) * kWordBits, 0);
-  pool.RunPerThread([&](int index) {
-    const auto [begin, end] =
-        PartitionRange(NumQuads(column), pool.num_threads(), index);
-    ForEachCancellableBatch(
-        cancel, begin, end, [&](std::size_t b, std::size_t e) {
-          AccumulateBitSumsVbp(column, filter, b, e,
-                               bit_sums.data() + index * kWordBits);
-        });
-  });
-  for (int i = 1; i < pool.num_threads(); ++i) {
+  const int slots = ex.max_slots();
+  const std::size_t words = static_cast<std::size_t>(slots) * kWordBits;
+  if (!ex.AccountScratch(words * sizeof(std::uint64_t))) return UInt128{};
+  std::vector<std::uint64_t> bit_sums(words, 0);
+  ex.ParallelFor(NumQuads(column), cancel,
+                 [&](int slot, std::size_t b, std::size_t e) {
+                   AccumulateBitSumsVbp(column, filter, b, e,
+                                        bit_sums.data() + slot * kWordBits);
+                 });
+  for (int i = 1; i < slots; ++i) {
     for (int j = 0; j < k; ++j) bit_sums[j] += bit_sums[i * kWordBits + j];
   }
   return vbp::CombineBitSums(bit_sums.data(), k);
 }
 
-UInt128 SumHbp(ThreadPool& pool, const HbpColumn& column,
+UInt128 SumHbp(ParallelExecutor& ex, const HbpColumn& column,
                const FilterBitVector& filter, const CancelContext* cancel) {
-  std::vector<std::uint64_t> group_sums(
-      static_cast<std::size_t>(pool.num_threads()) * kWordBits, 0);
-  pool.RunPerThread([&](int index) {
-    const auto [begin, end] =
-        PartitionRange(NumQuads(column), pool.num_threads(), index);
-    ForEachCancellableBatch(
-        cancel, begin, end, [&](std::size_t b, std::size_t e) {
-          AccumulateGroupSumsHbp(column, filter, b, e,
-                                 group_sums.data() + index * kWordBits);
-        });
-  });
-  for (int i = 1; i < pool.num_threads(); ++i) {
+  const int slots = ex.max_slots();
+  const std::size_t words = static_cast<std::size_t>(slots) * kWordBits;
+  if (!ex.AccountScratch(words * sizeof(std::uint64_t))) return UInt128{};
+  std::vector<std::uint64_t> group_sums(words, 0);
+  ex.ParallelFor(NumQuads(column), cancel,
+                 [&](int slot, std::size_t b, std::size_t e) {
+                   AccumulateGroupSumsHbp(
+                       column, filter, b, e,
+                       group_sums.data() + slot * kWordBits);
+                 });
+  for (int i = 1; i < slots; ++i) {
     for (int g = 0; g < column.num_groups(); ++g) {
       group_sums[g] += group_sums[i * kWordBits + g];
     }
@@ -88,58 +92,62 @@ UInt128 SumHbp(ThreadPool& pool, const HbpColumn& column,
 
 namespace {
 
-std::optional<std::uint64_t> ExtremeVbpMt(ThreadPool& pool,
+// A slot that received no morsel keeps its identity state (all-ones for
+// MIN, zeros for MAX), which never beats a real value; the filter is
+// non-empty, so some slot holds one.
+std::optional<std::uint64_t> ExtremeVbpMt(ParallelExecutor& ex,
                                           const VbpColumn& column,
                                           const FilterBitVector& filter,
                                           bool is_min,
                                           const CancelContext* cancel) {
-  if (par::Count(pool, filter) == 0) return std::nullopt;
+  if (par::Count(ex, filter) == 0) return std::nullopt;
   const int k = column.bit_width();
-  std::vector<Word> temps(
-      static_cast<std::size_t>(pool.num_threads()) * kWordBits * 4);
-  pool.RunPerThread([&](int index) {
-    Word* temp = temps.data() + index * kWordBits * 4;
-    InitSlotExtremeVbp(k, is_min, temp);
-    const auto [begin, end] =
-        PartitionRange(NumQuads(column), pool.num_threads(), index);
-    ForEachCancellableBatch(
-        cancel, begin, end, [&](std::size_t b, std::size_t e) {
-          SlotExtremeRangeVbp(column, filter, b, e, is_min, temp);
-        });
-  });
+  const int slots = ex.max_slots();
+  const std::size_t words = static_cast<std::size_t>(slots) * kSlotTempWords;
+  if (!ex.AccountScratch(words * sizeof(Word))) return std::nullopt;
+  std::vector<Word> temps(words);
+  for (int i = 0; i < slots; ++i) {
+    InitSlotExtremeVbp(k, is_min, temps.data() + i * kSlotTempWords);
+  }
+  ex.ParallelFor(NumQuads(column), cancel,
+                 [&](int slot, std::size_t b, std::size_t e) {
+                   SlotExtremeRangeVbp(column, filter, b, e, is_min,
+                                       temps.data() + slot * kSlotTempWords);
+                 });
   if (cancel != nullptr && cancel->ShouldStop()) return std::nullopt;
   std::uint64_t best = 0;
-  for (int i = 0; i < pool.num_threads(); ++i) {
+  for (int i = 0; i < slots; ++i) {
     const std::uint64_t v =
-        ExtremeOfSlotsVbp(temps.data() + i * kWordBits * 4, k, is_min);
+        ExtremeOfSlotsVbp(temps.data() + i * kSlotTempWords, k, is_min);
     if (i == 0 || (is_min ? v < best : v > best)) best = v;
   }
   return best;
 }
 
-std::optional<std::uint64_t> ExtremeHbpMt(ThreadPool& pool,
+std::optional<std::uint64_t> ExtremeHbpMt(ParallelExecutor& ex,
                                           const HbpColumn& column,
                                           const FilterBitVector& filter,
                                           bool is_min,
                                           const CancelContext* cancel) {
-  if (par::Count(pool, filter) == 0) return std::nullopt;
-  std::vector<Word> temps(
-      static_cast<std::size_t>(pool.num_threads()) * kWordBits * 4);
-  pool.RunPerThread([&](int index) {
-    Word* temp = temps.data() + index * kWordBits * 4;
-    InitSubSlotExtremeHbp(column, is_min, temp);
-    const auto [begin, end] =
-        PartitionRange(NumQuads(column), pool.num_threads(), index);
-    ForEachCancellableBatch(
-        cancel, begin, end, [&](std::size_t b, std::size_t e) {
-          SubSlotExtremeRangeHbp(column, filter, b, e, is_min, temp);
-        });
-  });
+  if (par::Count(ex, filter) == 0) return std::nullopt;
+  const int slots = ex.max_slots();
+  const std::size_t words = static_cast<std::size_t>(slots) * kSlotTempWords;
+  if (!ex.AccountScratch(words * sizeof(Word))) return std::nullopt;
+  std::vector<Word> temps(words);
+  for (int i = 0; i < slots; ++i) {
+    InitSubSlotExtremeHbp(column, is_min, temps.data() + i * kSlotTempWords);
+  }
+  ex.ParallelFor(NumQuads(column), cancel,
+                 [&](int slot, std::size_t b, std::size_t e) {
+                   SubSlotExtremeRangeHbp(
+                       column, filter, b, e, is_min,
+                       temps.data() + slot * kSlotTempWords);
+                 });
   if (cancel != nullptr && cancel->ShouldStop()) return std::nullopt;
   std::uint64_t best = 0;
-  for (int i = 0; i < pool.num_threads(); ++i) {
+  for (int i = 0; i < slots; ++i) {
     const std::uint64_t v = ExtremeOfSubSlotsHbp(
-        column, temps.data() + i * kWordBits * 4, is_min);
+        column, temps.data() + i * kSlotTempWords, is_min);
     if (i == 0 || (is_min ? v < best : v > best)) best = v;
   }
   return best;
@@ -147,44 +155,49 @@ std::optional<std::uint64_t> ExtremeHbpMt(ThreadPool& pool,
 
 }  // namespace
 
-std::optional<std::uint64_t> MinVbp(ThreadPool& pool, const VbpColumn& column,
+std::optional<std::uint64_t> MinVbp(ParallelExecutor& ex,
+                                    const VbpColumn& column,
                                     const FilterBitVector& filter,
                                     const CancelContext* cancel) {
-  return ExtremeVbpMt(pool, column, filter, /*is_min=*/true, cancel);
+  return ExtremeVbpMt(ex, column, filter, /*is_min=*/true, cancel);
 }
-std::optional<std::uint64_t> MaxVbp(ThreadPool& pool, const VbpColumn& column,
+std::optional<std::uint64_t> MaxVbp(ParallelExecutor& ex,
+                                    const VbpColumn& column,
                                     const FilterBitVector& filter,
                                     const CancelContext* cancel) {
-  return ExtremeVbpMt(pool, column, filter, /*is_min=*/false, cancel);
+  return ExtremeVbpMt(ex, column, filter, /*is_min=*/false, cancel);
 }
-std::optional<std::uint64_t> MinHbp(ThreadPool& pool, const HbpColumn& column,
+std::optional<std::uint64_t> MinHbp(ParallelExecutor& ex,
+                                    const HbpColumn& column,
                                     const FilterBitVector& filter,
                                     const CancelContext* cancel) {
-  return ExtremeHbpMt(pool, column, filter, /*is_min=*/true, cancel);
+  return ExtremeHbpMt(ex, column, filter, /*is_min=*/true, cancel);
 }
-std::optional<std::uint64_t> MaxHbp(ThreadPool& pool, const HbpColumn& column,
+std::optional<std::uint64_t> MaxHbp(ParallelExecutor& ex,
+                                    const HbpColumn& column,
                                     const FilterBitVector& filter,
                                     const CancelContext* cancel) {
-  return ExtremeHbpMt(pool, column, filter, /*is_min=*/false, cancel);
+  return ExtremeHbpMt(ex, column, filter, /*is_min=*/false, cancel);
 }
 
-std::optional<std::uint64_t> RankSelectVbp(ThreadPool& pool,
+std::optional<std::uint64_t> RankSelectVbp(ParallelExecutor& ex,
                                            const VbpColumn& column,
                                            const FilterBitVector& filter,
                                            std::uint64_t r,
                                            const CancelContext* cancel) {
   ICP_CHECK_EQ(column.lanes(), 4);
-  ICP_CHECK_LE(pool.num_threads(), kMaxThreads);
-  std::uint64_t u = par::Count(pool, filter);
+  const int slots = ex.max_slots();
+  ICP_CHECK_LE(slots, kMaxThreads);
+  std::uint64_t u = par::Count(ex, filter);
   if (r < 1 || r > u) return std::nullopt;
   const std::size_t quads = NumQuads(column);
+  if (!ex.AccountScratch(quads * 4 * sizeof(Word))) return std::nullopt;
   WordBuffer v(quads * 4);
-  for (std::size_t seg = 0; seg < filter.num_segments(); ++seg) {
-    v[seg] = filter.SegmentWord(seg);
-  }
+  std::copy_n(filter.words(), filter.num_segments(), v.data());
 
   const int k = column.bit_width();
   const int tau = column.tau();
+  const kern::KernelOps& ops = kern::Ops();
   std::uint64_t partial[kMaxThreads];
   std::uint64_t result = 0;
   for (int jb = 0; jb < k; ++jb) {
@@ -192,22 +205,16 @@ std::optional<std::uint64_t> RankSelectVbp(ThreadPool& pool,
     const int g = jb / tau;
     const int j = jb - g * tau;
     const int width = column.GroupWidth(g);
-    pool.RunPerThread([&](int index) {
-      const auto [begin, end] =
-          PartitionRange(quads, pool.num_threads(), index);
-      const kern::KernelOps& ops = kern::Ops();
-      std::uint64_t c = 0;
-      ForEachCancellableBatch(
-          cancel, begin, end, [&](std::size_t qb, std::size_t qe) {
-            c += ops.masked_popcount(
-                column.GroupData(g) + (qb * width + j) * 4,
-                static_cast<std::size_t>(width) * 4, /*lanes=*/4,
-                v.data() + qb * 4, qe - qb);
-          });
-      partial[index] = c;
-    });
+    std::fill(partial, partial + slots, 0);
+    ex.ParallelFor(quads, cancel,
+                   [&](int slot, std::size_t qb, std::size_t qe) {
+                     partial[slot] += ops.masked_popcount(
+                         column.GroupData(g) + (qb * width + j) * 4,
+                         static_cast<std::size_t>(width) * 4, /*lanes=*/4,
+                         v.data() + qb * 4, qe - qb);
+                   });
     std::uint64_t c = 0;
-    for (int i = 0; i < pool.num_threads(); ++i) c += partial[i];
+    for (int i = 0; i < slots; ++i) c += partial[i];
     const bool bit_is_one = u - c < r;
     if (bit_is_one) {
       result |= std::uint64_t{1} << (k - 1 - jb);
@@ -216,80 +223,74 @@ std::optional<std::uint64_t> RankSelectVbp(ThreadPool& pool,
     } else {
       u -= c;
     }
-    pool.RunPerThread([&](int index) {
-      const auto [begin, end] =
-          PartitionRange(quads, pool.num_threads(), index);
-      ForEachCancellableBatch(
-          cancel, begin, end, [&](std::size_t qb, std::size_t qe) {
-            for (std::size_t q = qb; q < qe; ++q) {
-              Word256 cand = Word256::Load(v.data() + q * 4);
-              if (cand.IsZero()) continue;
-              const Word* ptr = column.GroupData(g) + (q * width + j) * 4;
-              const Word256 x = Word256::Load(ptr);
-              cand = bit_is_one ? (cand & x) : AndNot(x, cand);
-              cand.Store(v.data() + q * 4);
-            }
-          });
+    ex.ParallelFor(quads, cancel, [&](int, std::size_t qb, std::size_t qe) {
+      for (std::size_t q = qb; q < qe; ++q) {
+        Word256 cand = Word256::Load(v.data() + q * 4);
+        if (cand.IsZero()) continue;
+        const Word* ptr = column.GroupData(g) + (q * width + j) * 4;
+        const Word256 x = Word256::Load(ptr);
+        cand = bit_is_one ? (cand & x) : AndNot(x, cand);
+        cand.Store(v.data() + q * 4);
+      }
     });
   }
   if (cancel != nullptr && cancel->ShouldStop()) return std::nullopt;
   return result;
 }
 
-std::optional<std::uint64_t> RankSelectHbp(ThreadPool& pool,
+std::optional<std::uint64_t> RankSelectHbp(ParallelExecutor& ex,
                                            const HbpColumn& column,
                                            const FilterBitVector& filter,
                                            std::uint64_t r,
                                            const CancelContext* cancel) {
   ICP_CHECK_EQ(column.lanes(), 4);
-  const std::uint64_t u = par::Count(pool, filter);
+  const std::uint64_t u = par::Count(ex, filter);
   if (r < 1 || r > u) return std::nullopt;
   const std::size_t quads = NumQuads(column);
-  WordBuffer v(quads * 4);
-  for (std::size_t seg = 0; seg < filter.num_segments(); ++seg) {
-    v[seg] = filter.SegmentWord(seg);
-  }
-
   const int s = column.field_width();
   const int tau = column.tau();
+  const std::size_t bins = std::size_t{1} << tau;
+  const int slots = ex.max_slots();
+  const std::size_t scratch =
+      quads * 4 * sizeof(Word) +
+      static_cast<std::size_t>(slots) * bins * sizeof(std::uint64_t);
+  if (!ex.AccountScratch(scratch)) return std::nullopt;
+  WordBuffer v(quads * 4);
+  std::copy_n(filter.words(), filter.num_segments(), v.data());
+
   const Word dm_scalar = DelimiterMask(s);
   const Word256 dm = Word256::Broadcast(dm_scalar);
   const Word value_mask = LowMask(tau);
-  const std::size_t bins = std::size_t{1} << tau;
-  std::vector<std::uint64_t> hists(
-      static_cast<std::size_t>(pool.num_threads()) * bins);
+  std::vector<std::uint64_t> hists(static_cast<std::size_t>(slots) * bins);
 
   std::uint64_t result = 0;
   for (int g = 0; g < column.num_groups(); ++g) {
     if (cancel != nullptr && cancel->ShouldStop()) return std::nullopt;
     std::fill(hists.begin(), hists.end(), 0);
-    pool.RunPerThread([&](int index) {
-      const auto [begin, end] =
-          PartitionRange(quads, pool.num_threads(), index);
-      std::uint64_t* hist = hists.data() + index * bins;
-      ForEachCancellableBatch(
-          cancel, begin, end, [&](std::size_t qb, std::size_t qe) {
-            for (std::size_t q = qb; q < qe; ++q) {
-              for (int lane = 0; lane < 4; ++lane) {
-                const Word cand = v[q * 4 + lane];
-                if (cand == 0) continue;
-                for (int t = 0; t < s; ++t) {
-                  Word md = (cand << t) & dm_scalar;
-                  const Word w = column.GroupData(g)[(q * s + t) * 4 + lane];
-                  while (md != 0) {
-                    const int p = CountTrailingZeros(md);
-                    md &= md - 1;
-                    ++hist[(w >> (p - tau)) & value_mask];
-                  }
-                }
-              }
-            }
-          });
-    });
+    ex.ParallelFor(quads, cancel,
+                   [&](int slot, std::size_t qb, std::size_t qe) {
+                     std::uint64_t* hist = hists.data() + slot * bins;
+                     for (std::size_t q = qb; q < qe; ++q) {
+                       for (int lane = 0; lane < 4; ++lane) {
+                         const Word cand = v[q * 4 + lane];
+                         if (cand == 0) continue;
+                         for (int t = 0; t < s; ++t) {
+                           Word md = (cand << t) & dm_scalar;
+                           const Word w =
+                               column.GroupData(g)[(q * s + t) * 4 + lane];
+                           while (md != 0) {
+                             const int p = CountTrailingZeros(md);
+                             md &= md - 1;
+                             ++hist[(w >> (p - tau)) & value_mask];
+                           }
+                         }
+                       }
+                     }
+                   });
     // A cancelled histogram pass may not cover all candidates; bail out
     // before the cumulative walk uses it.
     if (cancel != nullptr && cancel->ShouldStop()) return std::nullopt;
-    for (int i = 1; i < pool.num_threads(); ++i) {
+    for (int i = 1; i < slots; ++i) {
       for (std::size_t b = 0; b < bins; ++b) hists[b] += hists[i * bins + b];
     }
     std::uint64_t cum = 0;
@@ -302,25 +303,20 @@ std::optional<std::uint64_t> RankSelectHbp(ThreadPool& pool,
     result |= bin << column.GroupShift(g);
     if (g + 1 < column.num_groups()) {
       const Word256 packed_bin = Word256::Broadcast(RepeatField(bin, s));
-      pool.RunPerThread([&](int index) {
-        const auto [begin, end] =
-            PartitionRange(quads, pool.num_threads(), index);
-        ForEachCancellableBatch(
-            cancel, begin, end, [&](std::size_t qb, std::size_t qe) {
-              for (std::size_t q = qb; q < qe; ++q) {
-                Word256 cand = Word256::Load(v.data() + q * 4);
-                if (cand.IsZero()) continue;
-                const Word* base = column.GroupData(g) + q * s * 4;
-                Word256 matches = Word256::Zero();
-                for (int t = 0; t < s; ++t) {
-                  const Word256 x = Word256::Load(base + t * 4);
-                  const Word256 eq = FieldGe256(x, packed_bin, dm) &
-                                     FieldGe256(packed_bin, x, dm);
-                  matches = matches | eq.Shr64(t);
-                }
-                (cand & matches).Store(v.data() + q * 4);
-              }
-            });
+      ex.ParallelFor(quads, cancel, [&](int, std::size_t qb, std::size_t qe) {
+        for (std::size_t q = qb; q < qe; ++q) {
+          Word256 cand = Word256::Load(v.data() + q * 4);
+          if (cand.IsZero()) continue;
+          const Word* base = column.GroupData(g) + q * s * 4;
+          Word256 matches = Word256::Zero();
+          for (int t = 0; t < s; ++t) {
+            const Word256 x = Word256::Load(base + t * 4);
+            const Word256 eq =
+                FieldGe256(x, packed_bin, dm) & FieldGe256(packed_bin, x, dm);
+            matches = matches | eq.Shr64(t);
+          }
+          (cand & matches).Store(v.data() + q * 4);
+        }
       });
     }
   }
@@ -328,82 +324,82 @@ std::optional<std::uint64_t> RankSelectHbp(ThreadPool& pool,
   return result;
 }
 
-std::optional<std::uint64_t> MedianVbp(ThreadPool& pool,
+std::optional<std::uint64_t> MedianVbp(ParallelExecutor& ex,
                                        const VbpColumn& column,
                                        const FilterBitVector& filter,
                                        const CancelContext* cancel) {
-  const std::uint64_t count = par::Count(pool, filter);
+  const std::uint64_t count = par::Count(ex, filter);
   if (count == 0) return std::nullopt;
-  return RankSelectVbp(pool, column, filter, LowerMedianRank(count), cancel);
+  return RankSelectVbp(ex, column, filter, LowerMedianRank(count), cancel);
 }
 
-std::optional<std::uint64_t> MedianHbp(ThreadPool& pool,
+std::optional<std::uint64_t> MedianHbp(ParallelExecutor& ex,
                                        const HbpColumn& column,
                                        const FilterBitVector& filter,
                                        const CancelContext* cancel) {
-  const std::uint64_t count = par::Count(pool, filter);
+  const std::uint64_t count = par::Count(ex, filter);
   if (count == 0) return std::nullopt;
-  return RankSelectHbp(pool, column, filter, LowerMedianRank(count), cancel);
+  return RankSelectHbp(ex, column, filter, LowerMedianRank(count), cancel);
 }
 
-AggregateResult AggregateVbp(ThreadPool& pool, const VbpColumn& column,
+AggregateResult AggregateVbp(ParallelExecutor& ex, const VbpColumn& column,
                              const FilterBitVector& filter, AggKind kind,
                              std::uint64_t rank, const CancelContext* cancel,
                              AggStats* stats) {
   ICP_OBS_INCREMENT(AggPathVbp);
   AggregateResult result;
   result.kind = kind;
-  result.count = par::Count(pool, filter);
+  result.count = par::Count(ex, filter);
   switch (kind) {
     case AggKind::kCount:
       break;
     case AggKind::kSum:
     case AggKind::kAvg:
-      result.sum = SumVbp(pool, column, filter, cancel);
+      result.sum = SumVbp(ex, column, filter, cancel);
       break;
     case AggKind::kMin:
-      result.value = MinVbp(pool, column, filter, cancel);
+      result.value = MinVbp(ex, column, filter, cancel);
       break;
     case AggKind::kMax:
-      result.value = MaxVbp(pool, column, filter, cancel);
+      result.value = MaxVbp(ex, column, filter, cancel);
       break;
     case AggKind::kMedian:
-      result.value = MedianVbp(pool, column, filter, cancel);
+      result.value = MedianVbp(ex, column, filter, cancel);
       break;
     case AggKind::kRank:
-      result.value = RankSelectVbp(pool, column, filter, rank, cancel);
+      result.value = RankSelectVbp(ex, column, filter, rank, cancel);
       break;
   }
   if (kind != AggKind::kCount) CountFilterSegments(filter, stats);
   return result;
 }
 
-AggregateResult AggregateHbp(ThreadPool& pool, const HbpColumn& column,
+AggregateResult AggregateHbp(ParallelExecutor& ex, const HbpColumn& column,
                              const FilterBitVector& filter, AggKind kind,
                              std::uint64_t rank, const CancelContext* cancel,
                              AggStats* stats) {
   ICP_OBS_INCREMENT(AggPathHbp);
   AggregateResult result;
   result.kind = kind;
-  result.count = par::Count(pool, filter);
+  result.count = par::Count(ex, filter);
   switch (kind) {
     case AggKind::kCount:
       break;
     case AggKind::kSum:
     case AggKind::kAvg:
-      result.sum = SumHbp(pool, column, filter, cancel);
+      result.sum = SumHbp(ex, column, filter, cancel);
       break;
     case AggKind::kMin:
-      result.value = MinHbp(pool, column, filter, cancel);
+      result.value = MinHbp(ex, column, filter, cancel);
       break;
     case AggKind::kMax:
-      result.value = MaxHbp(pool, column, filter, cancel);
+      result.value = MaxHbp(ex, column, filter, cancel);
       break;
     case AggKind::kMedian:
-      result.value = MedianHbp(pool, column, filter, cancel);
+      result.value = MedianHbp(ex, column, filter, cancel);
       break;
     case AggKind::kRank:
-      result.value = RankSelectHbp(pool, column, filter, rank, cancel);
+      result.value = RankSelectHbp(ex, column, filter, rank, cancel);
       break;
   }
   if (kind != AggKind::kCount) CountFilterSegments(filter, stats);

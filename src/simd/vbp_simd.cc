@@ -58,9 +58,14 @@ inline const Word* QuadWordPtr(const VbpColumn& column, int g, std::size_t q,
 
 FilterBitVector ScanVbp(const VbpColumn& column, CompareOp op,
                         std::uint64_t c1, std::uint64_t c2,
-                        ScanStats* stats) {
+                        ScanStats* stats, const CancelContext* cancel) {
   FilterBitVector out(column.num_values(), VbpColumn::kValuesPerSegment);
-  ScanVbpRange(column, op, c1, c2, 0, NumQuads(column), &out);
+  // Batches are whole quads: column.num_segments() is a multiple of 4.
+  ForEachCancellableBatch(cancel, 0, column.num_segments(),
+                          [&](std::size_t b, std::size_t e) {
+                            ScanVbpRange(column, op, c1, c2, b / 4, e / 4,
+                                        &out);
+                          });
   // Model: k bit-plane words per segment, no early-stop attribution.
   RecordModeledScan(column.num_segments(),
                     column.num_segments() *
@@ -81,6 +86,9 @@ void ScanVbpRange(const VbpColumn& column, CompareOp op, std::uint64_t c1,
 
   bool all = false;
   if (ScanIsDegenerate(k, op, c1, &c2, &all)) {
+    // cancellation: exempt — ScanRange covers one cancel batch or morsel;
+    // the caller (ForEachCancellableBatch / per-morsel driver) polls
+    // between them.
     for (std::size_t seg = quad_begin * 4;
          seg < quad_end * 4 && seg < live_segments; ++seg) {
       out->SetSegmentWord(seg, all ? out->ValidMask(seg) : 0);
@@ -124,6 +132,7 @@ void ScanVbpRange(const VbpColumn& column, CompareOp op, std::uint64_t c1,
   if (last >= quad_begin * 4 && last < quad_end * 4) {
     f_words[last] &= out->ValidMask(last);
   }
+  // cancellation: exempt — at most the final quad's padding segments.
   for (std::size_t seg = std::max(live_segments, quad_begin * 4);
        seg < quad_end * 4; ++seg) {
     f_words[seg] = 0;
@@ -232,9 +241,7 @@ std::optional<std::uint64_t> RankSelectVbp(const VbpColumn& column,
   if (r < 1 || r > u) return std::nullopt;
   const std::size_t quads = NumQuads(column);
   WordBuffer v(quads * 4);
-  for (std::size_t seg = 0; seg < filter.num_segments(); ++seg) {
-    v[seg] = filter.SegmentWord(seg);
-  }
+  std::copy_n(filter.words(), filter.num_segments(), v.data());
 
   const int k = column.bit_width();
   const int tau = column.tau();

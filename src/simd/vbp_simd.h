@@ -33,10 +33,13 @@ inline std::size_t NumQuads(const VbpColumn& column) {
 
 /// Bit-parallel scan; requires column.lanes() == 4. `stats`, when
 /// non-null, receives the analytic model of RecordModeledScan (the SIMD
-/// kernel is uninstrumented inside).
+/// kernel is uninstrumented inside). The optional CancelContext is
+/// polled every kCancelBatchSegments segments, as VbpScanner::Scan does;
+/// a stopped scan's output is meaningless.
 [[nodiscard]] FilterBitVector ScanVbp(const VbpColumn& column, CompareOp op,
                                       std::uint64_t c1, std::uint64_t c2 = 0,
-                                      ScanStats* stats = nullptr);
+                                      ScanStats* stats = nullptr,
+                                      const CancelContext* cancel = nullptr);
 void ScanVbpRange(const VbpColumn& column, CompareOp op, std::uint64_t c1,
                   std::uint64_t c2, std::size_t quad_begin,
                   std::size_t quad_end, FilterBitVector* out);

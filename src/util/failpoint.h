@@ -25,9 +25,6 @@
 //                          retries with jittered backoff (util/backoff.h) up
 //                          to kIoMaxAttempts before failing like table_io/read
 //   aligned_buffer/alloc — WordBuffer: simulated allocation failure
-//   thread_pool/task     — ThreadPool::RunPerThread: one worker's task is
-//                          dropped; the region completes and the failure is
-//                          surfaced via ThreadPool::TakeTaskFailure()
 //   csv_loader/open      — LoadCsv: opening the file fails (permissions,
 //                          missing mount) even though it exists
 //   csv_loader/read      — LoadFromStream: stream error mid-file; the loader

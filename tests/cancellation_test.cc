@@ -1,8 +1,8 @@
 // Cooperative cancellation and deadline tests.
 //
 // The acceptance bar: a MEDIAN over 10M rows with a 1ms deadline must come
-// back as kDeadlineExceeded well under 100ms of wall time, with every pool
-// worker drained and the engine immediately reusable.
+// back as kDeadlineExceeded well under 100ms of wall time, with every
+// scheduler worker drained and the engine immediately reusable.
 
 #include "util/cancellation.h"
 
@@ -16,10 +16,13 @@
 #include "core/padded_aggregate.h"
 #include "engine/engine.h"
 #include "engine/table.h"
+#include "obs/query_stats.h"
 #include "scan/naive_scanner.h"
 #include "scan/padded_scanner.h"
 #include "simd/hbp_simd.h"
+#include "simd/simd_parallel.h"
 #include "simd/vbp_simd.h"
+#include "test_session.h"
 #include "util/random.h"
 
 namespace icp {
@@ -306,6 +309,62 @@ TEST_P(SimdCancelQueryTest, SimdPathIsCancellableToo) {
   auto result = engine.Execute(table, MedianQuery());
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+}
+
+// Mid-scan cancellation with simd=true: the lanes=4 scans used to take no
+// CancelContext, so a cancel landing during a scan waited for the whole
+// column. They now poll every kCancelBatchSegments segments (serial) or
+// once per morsel (scheduler).
+TEST_P(SimdCancelQueryTest, ScanPollsTokenAndStopsMidScan) {
+  const int threads = GetParam();
+  const Table table = MakeBigTable(4'000'000);
+  const VbpColumn& column = (*table.GetColumn("v"))->vbp_simd();
+  constexpr std::uint64_t kBelow = 1u << 19;
+  Query q;
+  q.agg = AggKind::kCount;
+  q.agg_column = "v";
+  q.filter = FilterExpr::Compare("v", CompareOp::kLt, kBelow);
+
+  // A live token is polled all through the scan.
+  obs::QueryStats qs;
+  Engine live(ExecOptions{.threads = threads,
+                          .simd = true,
+                          .cancel_token = CancellationToken::Create(),
+                          .stats = &qs});
+  auto full = live.Execute(table, q);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_GE(qs.cancel_checks, column.num_segments() / kCancelBatchSegments);
+
+  // A stopped context cuts the scan before its first batch or morsel.
+  CancellationToken fired = CancellationToken::Create();
+  fired.RequestCancel();
+  const CancelContext stopped(fired, std::nullopt);
+  EXPECT_EQ(simd::ScanVbp(column, CompareOp::kLt, kBelow, 0, nullptr,
+                          &stopped)
+                .CountOnes(),
+            0u);
+  TestSession session(threads);
+  EXPECT_EQ(
+      simd::ScanVbp(session.ex(), column, CompareOp::kLt, kBelow, 0, &stopped)
+          .CountOnes(),
+      0u);
+
+  // A cancel from another thread mid-query surfaces as kCancelled, unless
+  // the query wins the race.
+  CancellationToken token = CancellationToken::Create();
+  Engine engine(
+      ExecOptions{.threads = threads, .simd = true, .cancel_token = token});
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(milliseconds(1));
+    token.RequestCancel();
+  });
+  auto result = engine.Execute(table, q);
+  canceller.join();
+  if (result.ok()) {
+    EXPECT_EQ(result->count, full->count);
+  } else {
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SimdCancelQueryTest,

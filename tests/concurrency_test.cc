@@ -1,7 +1,7 @@
 // Concurrent readers: a Table is immutable after construction, so any
 // number of Engines may query it from different threads simultaneously.
-// (The one mutable corner — the lazily built SIMD packing — is exercised
-// via pre-warming; see the note in the test.)
+// The one mutable corner — the lazily built SIMD packing — packs once
+// under a std::once_flag, raced by SimdEnginesPackOneFreshTableOnce.
 
 #include <gtest/gtest.h>
 
@@ -52,9 +52,7 @@ TEST(ConcurrencyTest, ParallelEnginesOnSharedTable) {
   for (const Case& c : cases) {
     threads.emplace_back([&table, &failures, c] {
       // Each thread owns its Engine (Engines are not thread-safe; Tables
-      // are). Scalar execution avoids the lazy SIMD packing data race by
-      // construction — concurrent SIMD queries require pre-warming, which
-      // the engine does on first use from a single thread in practice.
+      // are).
       Engine engine(ExecOptions{.threads = 1, .simd = false});
       for (int round = 0; round < 20; ++round) {
         Query q;
@@ -98,6 +96,47 @@ TEST(ConcurrencyTest, ParallelAggregatorsOnSharedColumns) {
       }
     });
   }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
+// Regression: the lazy lanes=4 packings were built behind an
+// unsynchronized `mutable bool`, so two simd=true engines racing on a
+// fresh Table both packed (a data race TSan reports). Both threads now
+// see one packing and the right answers; the TSan job runs this test.
+TEST(ConcurrencyTest, SimdEnginesPackOneFreshTableOnce) {
+  Random rng(9191);
+  const std::size_t n = 40000;
+  std::vector<std::int64_t> a(n), b(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    a[i] = static_cast<std::int64_t>(rng.UniformInt(0, 9999));
+    b[i] = static_cast<std::int64_t>(rng.UniformInt(0, 99));
+  }
+  Table table;
+  ASSERT_TRUE(table.AddColumn("a", a, {.layout = Layout::kVbp}).ok());
+  ASSERT_TRUE(table.AddColumn("b", b, {.layout = Layout::kHbp}).ok());
+  Query q;
+  q.agg = AggKind::kMax;
+  q.agg_column = "a";
+  q.filter = FilterExpr::Compare("b", CompareOp::kLt, 50);
+  auto expected = Engine().Execute(table, q);
+  ASSERT_TRUE(expected.ok());
+
+  std::atomic<int> failures{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (const int engine_threads : {1, 2}) {
+    threads.emplace_back([&, engine_threads] {
+      Engine engine(ExecOptions{.threads = engine_threads, .simd = true});
+      // Start gate, so both first vbp_simd() calls overlap.
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      auto r = engine.Execute(table, q);
+      if (!r.ok() || r->decoded_value != expected->decoded_value) {
+        ++failures;
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
 }

@@ -1,11 +1,11 @@
 // Differential correctness harness: seed-replayable random tables and
 // queries, executed across every layout (naive / NBP / padded / VBP / HBP),
 // every kernel tier (forced via kern::ForceTier, same mechanism as the
-// ICP_FORCE_KERNEL env var) and thread counts {1, 4}, cross-checked against
-// the naive scalar oracle.
+// ICP_FORCE_KERNEL env var), thread counts {1, 4, 8} and governed /
+// ungoverned engines, cross-checked against the naive scalar oracle.
 //
-// On a mismatch the assertion message prints the seed, query, layout, tier
-// and thread count; re-running with ICP_DIFF_SEED=<seed> replays exactly
+// On a mismatch the assertion message prints the seed, query, layout, tier,
+// thread count and governance; re-running with ICP_DIFF_SEED=<seed> replays exactly
 // that table and query set.
 //
 // Registry coverage (checked by icp_lint ICP004): the engine configs
@@ -34,6 +34,8 @@
 
 #include "engine/engine.h"
 #include "engine/table.h"
+#include "sched/admission.h"
+#include "sched/scheduler.h"
 #include "simd/dispatch.h"
 #include "util/random.h"
 
@@ -171,8 +173,11 @@ void ExpectSameResult(const QueryResult& got, const QueryResult& want,
 
 // Engine configurations exercised per layout. Naive/padded layouts have one
 // execution path; VBP/HBP have scalar bit-parallel, SIMD bit-parallel and
-// the non-bit-parallel fallback.
-std::vector<ExecOptions> ConfigsFor(const std::string& column, int threads) {
+// the non-bit-parallel fallback. Each runs ungoverned (the engine's
+// private scheduler, or the serial kernels at one thread) and on
+// `governor`.
+std::vector<ExecOptions> ConfigsFor(const std::string& column, int threads,
+                                    sched::QueryGovernor* governor) {
   std::vector<ExecOptions> configs;
   if (column == "v_vbp" || column == "v_hbp") {
     configs.push_back(
@@ -184,6 +189,12 @@ std::vector<ExecOptions> ConfigsFor(const std::string& column, int threads) {
         {.method = AggMethod::kNonBitParallel, .threads = threads});
   } else {
     configs.push_back({.threads = threads});
+  }
+  const std::size_t ungoverned = configs.size();
+  configs.reserve(2 * ungoverned);
+  for (std::size_t i = 0; i < ungoverned; ++i) {
+    configs.push_back(configs[i]);
+    configs.back().governor = governor;
   }
   return configs;
 }
@@ -219,6 +230,9 @@ TEST(DifferentialTest, AllLayoutsTiersAndThreadCountsAgreeWithOracle) {
   const int kSeeds = 4;
   const int kQueriesPerSeed = 6;
   const std::vector<kern::Tier> tiers = CoveredTiers();
+  // Governed runs share one scheduler, as concurrent engines would.
+  sched::MorselScheduler scheduler(3);
+  sched::QueryGovernor governor(scheduler, {.max_concurrent = 1});
 
   for (int s = 0; s < kSeeds; ++s) {
     const std::uint64_t seed = BaseSeed() + static_cast<std::uint64_t>(s);
@@ -241,11 +255,11 @@ TEST(DifferentialTest, AllLayoutsTiersAndThreadCountsAgreeWithOracle) {
 
       for (const kern::Tier tier : tiers) {
         kern::ForceTier(tier);
-        for (int threads : {1, 4}) {
+        for (const int threads : {1, 4, 8}) {
           for (const char* column : kLayoutColumns) {
             const Query q = Retarget(rq, column);
-            for (const ExecOptions& base : ConfigsFor(column, threads)) {
-              ExecOptions options = base;
+            for (const ExecOptions& options :
+                 ConfigsFor(column, threads, &governor)) {
               Engine engine(options);
               auto result = engine.Execute(rt.table, q);
               std::ostringstream context;
@@ -256,6 +270,7 @@ TEST(DifferentialTest, AllLayoutsTiersAndThreadCountsAgreeWithOracle) {
                       << (options.method == AggMethod::kBitParallel ? "bp"
                                                                     : "nbp")
                       << " simd=" << options.simd
+                      << " governed=" << (options.governor != nullptr)
                       << " (replay with ICP_DIFF_SEED=" << BaseSeed()
                       << ")";
               ASSERT_TRUE(result.ok())

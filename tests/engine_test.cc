@@ -195,6 +195,9 @@ struct ConfigCase {
   AggMethod method;
   int threads;
   bool simd;
+  // gtest names each case from the struct's raw bytes. Spelled-out, zeroed
+  // padding keeps stack and address bytes out of the test names.
+  char pad[3] = {};
 };
 
 class EngineConfigTest : public ::testing::TestWithParam<ConfigCase> {};

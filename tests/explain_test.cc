@@ -148,6 +148,23 @@ TEST(ExplainAnalyzeTest, RendersReportAndFillsSink) {
   EXPECT_GE(stats.total_cycles, stats.StageCyclesSum());
 }
 
+// The sched: line appears exactly when the query dispatched morsels: the
+// serial kernels of an ungoverned one-thread engine dispatch none, while
+// an ungoverned multi-threaded engine runs on its private scheduler.
+TEST(ExplainAnalyzeTest, SchedLineAppearsExactlyWhenMorselsRan) {
+  Fixture fx(Layout::kVbp);
+  auto serial = Engine().ExplainAnalyze(fx.table, SumOverFilter());
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  EXPECT_EQ(serial->find("sched:"), std::string::npos) << *serial;
+
+  auto threaded =
+      Engine(ExecOptions{.threads = 4}).ExplainAnalyze(fx.table,
+                                                        SumOverFilter());
+  ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
+  EXPECT_NE(threaded->find("sched:  parallelism=4"), std::string::npos)
+      << *threaded;
+}
+
 TEST(ExplainAnalyzeTest, PropagatesExecutionErrors) {
   Fixture fx(Layout::kVbp);
   Engine engine;

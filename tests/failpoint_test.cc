@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -20,7 +19,6 @@
 #include "engine/table.h"
 #include "io/csv_loader.h"
 #include "io/table_io.h"
-#include "parallel/thread_pool.h"
 #include "util/random.h"
 
 namespace icp {
@@ -175,21 +173,29 @@ TEST_F(FailpointTest, AllocationFailureSurfacesAsStatus) {
   EXPECT_TRUE(table.AddColumn("v", v, {.layout = Layout::kVbp}).ok());
 }
 
+// The standalone phases run on the engine's private scheduler too, so a
+// dropped morsel surfaces from EvaluateFilter itself, and the worker pool
+// keeps serving the next call.
 TEST_F(FailpointTest, DroppedPoolTaskIsReportedAndPoolSurvives) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
+  Random rng(29);
+  std::vector<std::int64_t> v(200000);
+  for (auto& x : v) x = static_cast<std::int64_t>(rng.UniformInt(0, 100000));
+  Table table;
+  ASSERT_TRUE(table.AddColumn("v", v, {.layout = Layout::kHbp}).ok());
+  const FilterExprPtr filter = FilterExpr::Compare("v", CompareOp::kGe, 500);
 
-  fail::EnableOneShot("thread_pool/task");
-  pool.RunPerThread([&](int) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 3) << "exactly one task should have been dropped";
-  EXPECT_TRUE(pool.TakeTaskFailure());
-  EXPECT_FALSE(pool.TakeTaskFailure()) << "flag must clear on read";
+  Engine engine(ExecOptions{.threads = 4});
+  fail::EnableOneShot("sched/dequeue");
+  auto dropped = engine.EvaluateFilter(table, filter, "v");
+  ASSERT_FALSE(dropped.ok());
+  EXPECT_EQ(dropped.status().code(), StatusCode::kInternal);
 
-  // The region joined cleanly; the pool keeps working.
-  ran = 0;
-  pool.RunPerThread([&](int) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 4);
-  EXPECT_FALSE(pool.TakeTaskFailure());
+  fail::DisableAll();
+  auto again = engine.EvaluateFilter(table, filter, "v");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  auto reference = Engine().EvaluateFilter(table, filter, "v");
+  ASSERT_TRUE(reference.ok());
+  EXPECT_TRUE(*again == *reference);
 }
 
 TEST_F(FailpointTest, EngineTurnsDroppedTaskIntoStatus) {
@@ -205,7 +211,7 @@ TEST_F(FailpointTest, EngineTurnsDroppedTaskIntoStatus) {
   q.agg_column = "v";
   q.filter = FilterExpr::Compare("v", CompareOp::kLt, 90000);
 
-  fail::EnableOneShot("thread_pool/task");
+  fail::EnableOneShot("sched/dequeue");
   auto result = engine.Execute(table, q);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);

@@ -1,14 +1,15 @@
 // Group-by differential harness: seed-replayable random dictionary tables
 // swept across cardinalities 2^0..2^16, agg layouts (naive / padded / VBP /
-// HBP), nullable columns, filters, every kernel tier this host covers and
-// thread counts {1, 4, 8}. Both ExecuteGroupBy strategies — the naive
+// HBP), nullable columns, filters, every kernel tier this host covers,
+// thread counts {1, 4, 8} and governed / ungoverned engines. Both
+// ExecuteGroupBy strategies — the naive
 // per-code loop (groupby_threshold = UINT64_MAX) and the single-pass
 // operator (groupby_threshold = 1) — are checked bit-for-bit against an
 // independent scalar oracle computed from the raw value vectors, and
 // against each other.
 //
 // On a mismatch the assertion message prints the seed, cardinality,
-// layout, tier, strategy and thread count; re-running with
+// layout, tier, strategy, thread count and governance; re-running with
 // ICP_DIFF_SEED=<seed> replays exactly that table and query set.
 
 #include <cstdint>
@@ -25,6 +26,8 @@
 
 #include "engine/engine.h"
 #include "engine/table.h"
+#include "sched/admission.h"
+#include "sched/scheduler.h"
 #include "simd/dispatch.h"
 #include "util/bits.h"
 #include "util/random.h"
@@ -348,6 +351,8 @@ TEST(GroupByDifferentialTest, StrategiesAgreeWithScalarOracle) {
   const int kLog2Cards[] = {0, 1, 2, 4, 6, 8, 10, 12, 14, 16};
   const std::vector<kern::Tier> tiers = CoveredTiers();
   const std::uint64_t base_seed = BaseSeed();
+  sched::MorselScheduler scheduler(3);
+  sched::QueryGovernor governor(scheduler, {.max_concurrent = 1});
 
   int case_index = 0;
   for (const int log2_card : kLog2Cards) {
@@ -374,10 +379,14 @@ TEST(GroupByDifferentialTest, StrategiesAgreeWithScalarOracle) {
             std::vector<std::pair<std::int64_t, QueryResult>> per_strategy[2];
             const std::uint64_t kThresholds[2] = {
                 std::numeric_limits<std::uint64_t>::max(), 1};  // naive, 1-pass
-            for (int si = 0; si < 2; ++si) {
+            // Runs 0-1 ungoverned, 2-3 on the shared governor.
+            for (int run = 0; run < 4; ++run) {
+              const int si = run % 2;
+              const bool governed = run >= 2;
               ExecOptions options;
               options.threads = threads;
               options.groupby_threshold = kThresholds[si];
+              if (governed) options.governor = &governor;
               Engine engine(options);
               auto result_or = engine.ExecuteGroupBy(t.table, q, "g");
               std::ostringstream context;
@@ -387,12 +396,13 @@ TEST(GroupByDifferentialTest, StrategiesAgreeWithScalarOracle) {
                       << " tier=" << kern::TierName(tier)
                       << " threads=" << threads
                       << " strategy=" << (si == 0 ? "naive" : "single-pass")
+                      << " governed=" << governed
                       << " (replay with ICP_DIFF_SEED=" << base_seed << ")";
               ASSERT_TRUE(result_or.ok())
                   << context.str() << ": " << result_or.status().ToString();
               ExpectMatchesOracle(*result_or, oracle, rq.agg, agg_column_min,
                                   context.str());
-              per_strategy[si] = *std::move(result_or);
+              if (!governed) per_strategy[si] = *std::move(result_or);
             }
             std::ostringstream context;
             context << "seed=" << seed << " card=2^" << log2_card

@@ -26,9 +26,9 @@
 #include "groupby/groupby.h"
 #include "obs/query_stats.h"
 #include "parallel/executor.h"
-#include "parallel/thread_pool.h"
 #include "sched/admission.h"
 #include "sched/scheduler.h"
+#include "test_session.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 
@@ -137,8 +137,8 @@ TEST(GroupBySpillTest, LocalTableModeFollowsBudget) {
 
 TEST(GroupByCancelTest, PreCancelledTokenDrainsCleanly) {
   const Fixture f = MakeFixture(50000, 1024);
-  ThreadPool pool(4);
-  StaticPoolExecutor ex(pool);
+  TestSession session(4);
+  ParallelExecutor& ex = session.ex();
 
   const FilterBitVector filter = [&] {
     FilterBitVector v(f.num_rows, kWordBits);

@@ -77,8 +77,8 @@ TEST(ObsCounterTest, SnapshotListsWholeCatalogueSorted) {
       "agg.path.padded",       "kern.dispatch.scalar",
       "kern.dispatch.sse",     "kern.dispatch.avx2",
       "kern.dispatch.avx512",  "cancel.checks",
-      "failpoint.hits",        "pool.regions",
-      "pool.tasks",            "engine.queries",
+      "failpoint.hits",        "engine.queries",
+      "sched.morsels.dispatched", "sched.morsels.completed",
   };
   EXPECT_GE(snap.size(), std::size(expected));
   for (const char* name : expected) {
@@ -99,14 +99,14 @@ TEST(ObsCounterTest, ConcurrentAddsAreExact) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([] {
       for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        ICP_OBS_INCREMENT(PoolTasks);
-        if ((i & 1023) == 0) ICP_OBS_ADD(PoolRegions, 2);
+        ICP_OBS_INCREMENT(SchedMorselsCompleted);
+        if ((i & 1023) == 0) ICP_OBS_ADD(SchedMorselsDispatched, 2);
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(obs::PoolTasks().Load(), kThreads * kPerThread);
-  EXPECT_EQ(obs::PoolRegions().Load(),
+  EXPECT_EQ(obs::SchedMorselsCompleted().Load(), kThreads * kPerThread);
+  EXPECT_EQ(obs::SchedMorselsDispatched().Load(),
             static_cast<std::uint64_t>(kThreads) * 2 *
                 ((kPerThread + 1023) / 1024));
 }

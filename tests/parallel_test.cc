@@ -1,22 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
 #include "bitvector/filter_bit_vector.h"
 #include "core/hbp_aggregate.h"
 #include "core/vbp_aggregate.h"
 #include "parallel/parallel_aggregate.h"
-#include "parallel/thread_pool.h"
 #include "scan/hbp_scanner.h"
 #include "scan/vbp_scanner.h"
+#include "sched/morsel.h"
+#include "test_session.h"
 #include "util/random.h"
 
 namespace icp {
 namespace {
 
-TEST(ThreadPoolTest, PartitionRangeCoversAll) {
+TEST(PartitionRangeTest, CoversAll) {
   for (std::size_t total : {0u, 1u, 7u, 100u, 101u}) {
     for (int parts : {1, 2, 3, 4, 7}) {
       std::size_t covered = 0;
@@ -34,90 +34,56 @@ TEST(ThreadPoolTest, PartitionRangeCoversAll) {
   }
 }
 
-TEST(ThreadPoolTest, RunPerThreadRunsAllIndices) {
-  ThreadPool pool(4);
-  std::atomic<int> mask{0};
-  pool.RunPerThread([&](int index) { mask |= 1 << index; });
-  EXPECT_EQ(mask.load(), 0b1111);
-}
-
-TEST(ThreadPoolTest, RepeatedRegions) {
-  ThreadPool pool(3);
-  std::atomic<int> total{0};
-  for (int round = 0; round < 100; ++round) {
-    pool.RunPerThread([&](int) { total += 1; });
-  }
-  EXPECT_EQ(total.load(), 300);
-}
-
-TEST(ThreadPoolTest, SingleThreadPool) {
-  ThreadPool pool(1);
-  int calls = 0;
-  pool.RunPerThread([&](int index) {
-    EXPECT_EQ(index, 0);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPoolTest, ParallelForSums) {
-  ThreadPool pool(4);
-  std::vector<int> data(1000, 1);
-  std::atomic<long> sum{0};
-  pool.ParallelFor(data.size(), [&](std::size_t b, std::size_t e) {
-    long local = 0;
-    for (std::size_t i = b; i < e; ++i) local += data[i];
-    sum += local;
-  });
-  EXPECT_EQ(sum.load(), 1000);
-}
-
 // ---------------------------------------------------------------------------
-// Parallel aggregates match single-threaded results
+// Parallel aggregates on a scheduler session match single-threaded results
 // ---------------------------------------------------------------------------
 
 class ParallelAggTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParallelAggTest, VbpMatchesSingleThread) {
   const int threads = GetParam();
-  ThreadPool pool(threads);
+  TestSession session(threads);
+  sched::QuerySession& ex = session.ex();
   Random rng(threads);
   const int k = 17;
-  std::vector<std::uint64_t> codes(5000);
+  // Several morsels, so more than one slot folds partial state.
+  std::vector<std::uint64_t> codes(300000);
   for (auto& c : codes) c = rng.UniformInt(0, LowMask(k));
   const VbpColumn col = VbpColumn::Pack(codes, k);
-  const FilterBitVector f = par::Scan(pool, col, CompareOp::kLt, 90000);
+  const FilterBitVector f = par::Scan(ex, col, CompareOp::kLt, 90000);
   const FilterBitVector f_ref =
       VbpScanner::Scan(col, CompareOp::kLt, 90000);
   EXPECT_TRUE(f == f_ref);
 
-  EXPECT_EQ(par::Count(pool, f), f.CountOnes());
-  EXPECT_TRUE(par::Sum(pool, col, f) == vbp::Sum(col, f));
-  EXPECT_EQ(par::Min(pool, col, f), vbp::Min(col, f));
-  EXPECT_EQ(par::Max(pool, col, f), vbp::Max(col, f));
-  EXPECT_EQ(par::Median(pool, col, f), vbp::Median(col, f));
-  EXPECT_EQ(par::RankSelect(pool, col, f, 17),
+  EXPECT_EQ(par::Count(ex, f), f.CountOnes());
+  EXPECT_TRUE(par::Sum(ex, col, f) == vbp::Sum(col, f));
+  EXPECT_EQ(par::Min(ex, col, f), vbp::Min(col, f));
+  EXPECT_EQ(par::Max(ex, col, f), vbp::Max(col, f));
+  EXPECT_EQ(par::Median(ex, col, f), vbp::Median(col, f));
+  EXPECT_EQ(par::RankSelect(ex, col, f, 17),
             vbp::RankSelect(col, f, 17));
 }
 
 TEST_P(ParallelAggTest, HbpMatchesSingleThread) {
   const int threads = GetParam();
-  ThreadPool pool(threads);
+  TestSession session(threads);
+  sched::QuerySession& ex = session.ex();
   Random rng(100 + threads);
   const int k = 13;
-  std::vector<std::uint64_t> codes(5000);
+  // Several morsels, so more than one slot folds partial state.
+  std::vector<std::uint64_t> codes(300000);
   for (auto& c : codes) c = rng.UniformInt(0, LowMask(k));
   const HbpColumn col = HbpColumn::Pack(codes, k);
-  const FilterBitVector f = par::Scan(pool, col, CompareOp::kGe, 2000);
+  const FilterBitVector f = par::Scan(ex, col, CompareOp::kGe, 2000);
   const FilterBitVector f_ref = HbpScanner::Scan(col, CompareOp::kGe, 2000);
   EXPECT_TRUE(f == f_ref);
 
-  EXPECT_EQ(par::Count(pool, f), f.CountOnes());
-  EXPECT_TRUE(par::Sum(pool, col, f) == hbp::Sum(col, f));
-  EXPECT_EQ(par::Min(pool, col, f), hbp::Min(col, f));
-  EXPECT_EQ(par::Max(pool, col, f), hbp::Max(col, f));
-  EXPECT_EQ(par::Median(pool, col, f), hbp::Median(col, f));
-  EXPECT_EQ(par::RankSelect(pool, col, f, 42),
+  EXPECT_EQ(par::Count(ex, f), f.CountOnes());
+  EXPECT_TRUE(par::Sum(ex, col, f) == hbp::Sum(col, f));
+  EXPECT_EQ(par::Min(ex, col, f), hbp::Min(col, f));
+  EXPECT_EQ(par::Max(ex, col, f), hbp::Max(col, f));
+  EXPECT_EQ(par::Median(ex, col, f), hbp::Median(col, f));
+  EXPECT_EQ(par::RankSelect(ex, col, f, 42),
             hbp::RankSelect(col, f, 42));
 }
 
@@ -125,52 +91,41 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelAggTest,
                          ::testing::Values(1, 2, 3, 4, 8));
 
 TEST(ParallelAggTest, EmptyFilter) {
-  ThreadPool pool(4);
+  TestSession session(4);
+  sched::QuerySession& ex = session.ex();
   std::vector<std::uint64_t> codes(1000, 5);
   const VbpColumn vcol = VbpColumn::Pack(codes, 4);
   const HbpColumn hcol = HbpColumn::Pack(codes, 4);
   FilterBitVector vf(codes.size(), 64);
   FilterBitVector hf(codes.size(), hcol.values_per_segment());
-  EXPECT_EQ(par::Count(pool, vf), 0u);
-  EXPECT_FALSE(par::Min(pool, vcol, vf).has_value());
-  EXPECT_FALSE(par::Median(pool, hcol, hf).has_value());
-  EXPECT_TRUE(par::Sum(pool, vcol, vf) == UInt128{0});
-  EXPECT_TRUE(par::Sum(pool, hcol, hf) == UInt128{0});
+  EXPECT_EQ(par::Count(ex, vf), 0u);
+  EXPECT_FALSE(par::Min(ex, vcol, vf).has_value());
+  EXPECT_FALSE(par::Median(ex, hcol, hf).has_value());
+  EXPECT_TRUE(par::Sum(ex, vcol, vf) == UInt128{0});
+  EXPECT_TRUE(par::Sum(ex, hcol, hf) == UInt128{0});
 }
 
 TEST(ParallelAggTest, MoreThreadsThanSegments) {
-  ThreadPool pool(8);
+  TestSession session(8);
+  sched::QuerySession& ex = session.ex();
   std::vector<std::uint64_t> codes(70, 3);  // 2 segments
   const VbpColumn col = VbpColumn::Pack(codes, 4);
   FilterBitVector f(codes.size(), 64);
   f.SetAll();
-  EXPECT_TRUE(par::Sum(pool, col, f) == UInt128{210});
-  EXPECT_EQ(par::Median(pool, col, f), std::optional<std::uint64_t>(3));
-}
-
-TEST(ThreadPoolDeathTest, RunPerThreadIsNotReentrant) {
-  // Nested regions would deadlock on the shared generation counter; the pool
-  // turns that latent hang into an immediate ICP_CHECK abort.
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_DEATH(
-      {
-        ThreadPool pool(2);
-        pool.RunPerThread([&](int index) {
-          if (index == 0) pool.RunPerThread([](int) {});
-        });
-      },
-      "not reentrant");
+  EXPECT_TRUE(par::Sum(ex, col, f) == UInt128{210});
+  EXPECT_EQ(par::Median(ex, col, f), std::optional<std::uint64_t>(3));
 }
 
 TEST(ParallelAggTest, AggregateDispatcher) {
-  ThreadPool pool(4);
+  TestSession session(4);
+  sched::QuerySession& ex = session.ex();
   Random rng(5);
   std::vector<std::uint64_t> codes(3000);
   for (auto& c : codes) c = rng.UniformInt(0, 255);
   const HbpColumn col = HbpColumn::Pack(codes, 8);
   FilterBitVector f(codes.size(), col.values_per_segment());
   f.SetAll();
-  const AggregateResult r = par::Aggregate(pool, col, f, AggKind::kMedian);
+  const AggregateResult r = par::Aggregate(ex, col, f, AggKind::kMedian);
   EXPECT_EQ(r.value, hbp::Median(col, f));
   EXPECT_EQ(r.count, codes.size());
 }

@@ -5,6 +5,7 @@
 // integration (ExecOptions::governor).
 
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <atomic>
 #include <chrono>
@@ -316,6 +317,50 @@ TEST(SchedDifferentialTest, SessionExecutorMatchesSerialAggregates) {
   EXPECT_GT(ex.stats().dispatched, 0u);
 }
 
+// A region body may run a nested region (the retired barrier pool
+// aborted on that): the nested caller participates in its own region,
+// so both complete.
+TEST(MorselSchedulerTest, NestedRegionsComplete) {
+  MorselScheduler scheduler(2);
+  std::atomic<std::uint64_t> inner_segments{0};
+  MorselStats outer;
+  scheduler.RunRegion(
+      3, 4 * sched::kMorselSegments, nullptr,
+      [&](int, std::size_t, std::size_t) {
+        scheduler.RunRegion(
+            2, 2 * sched::kMorselSegments, nullptr,
+            [&](int, std::size_t b, std::size_t e) {
+              inner_segments.fetch_add(e - b);
+            },
+            nullptr);
+      },
+      &outer);
+  EXPECT_EQ(outer.completed, 4u);
+  EXPECT_EQ(inner_segments.load(), 4 * 2 * sched::kMorselSegments);
+}
+
+// Regression: idle workers used to wake every millisecond even with no
+// region registered (about 11 ms of CPU per idle 500 ms for three
+// workers), and every threads > 1 engine owns workers. They now block
+// until a region arrives.
+TEST(MorselSchedulerTest, IdleWorkersDoNotPoll) {
+  const auto cpu_ms = [] {
+    timespec ts;
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) / 1e6;
+  };
+  MorselScheduler scheduler(3);
+  // One region first, so the workers have run the active-region path
+  // and gone back to the idle wait.
+  scheduler.RunRegion(4, 8 * sched::kMorselSegments, nullptr,
+                      [](int, std::size_t, std::size_t) {}, nullptr);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const double before = cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_LT(cpu_ms() - before, 2.0) << "ms of CPU burnt while idle";
+}
+
 // ---------------------------------------------------------------------------
 // Engine integration
 // ---------------------------------------------------------------------------
@@ -417,6 +462,53 @@ TEST_F(GovernedEngineTest, ExplainAnalyzeReportsScheduling) {
   ASSERT_TRUE(text.ok());
   EXPECT_NE(text->find("sched:"), std::string::npos) << *text;
   EXPECT_NE(text->find("parallelism="), std::string::npos);
+}
+
+// Regression: governed simd=true and NBP queries used to run on the
+// engine's private thread pool, outside the scheduler, so admission
+// budgets and fairness never applied to them.
+TEST_F(GovernedEngineTest, SimdAndNbpQueriesRunOnTheScheduler) {
+  MorselScheduler scheduler(3);
+  QueryGovernor governor(scheduler, {.max_concurrent = 2});
+  Query q;
+  q.agg = AggKind::kSum;
+  q.agg_column = "a";
+  auto expected = Engine().Execute(table_, q);
+  ASSERT_TRUE(expected.ok());
+  for (const bool simd : {true, false}) {
+    obs::QueryStats qs;
+    ExecOptions opts;
+    opts.method = simd ? AggMethod::kBitParallel : AggMethod::kNonBitParallel;
+    opts.simd = simd;
+    opts.stats = &qs;
+    opts.governor = &governor;
+    Engine engine(opts);
+    auto got = engine.Execute(table_, q);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->count, expected->count);
+    EXPECT_TRUE(got->code_sum == expected->code_sum);
+    EXPECT_GT(qs.sched_morsels_dispatched, 0u) << (simd ? "simd" : "nbp");
+  }
+}
+
+TEST_F(GovernedEngineTest, NbpMedianHonoursScratchBudget) {
+  MorselScheduler scheduler(0);
+  // NBP MEDIAN buffers every passing value, twice over while selecting:
+  // 120k rows need ~1.9 MB against a 64 KiB budget.
+  QueryGovernor governor(scheduler, {.max_concurrent = 1,
+                                     .max_queued = 0,
+                                     .max_scratch_bytes = 64 << 10});
+  ExecOptions opts;
+  opts.method = AggMethod::kNonBitParallel;
+  opts.governor = &governor;
+  Engine engine(opts);
+  Query q;
+  q.agg = AggKind::kMedian;
+  q.agg_column = "a";
+  auto r = engine.Execute(table_, q);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(governor.active(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,13 +6,13 @@
 
 #include "core/hbp_aggregate.h"
 #include "core/vbp_aggregate.h"
-#include "parallel/thread_pool.h"
 #include "scan/hbp_scanner.h"
 #include "scan/vbp_scanner.h"
 #include "simd/hbp_simd.h"
 #include "simd/simd_parallel.h"
 #include "simd/vbp_simd.h"
 #include "simd/word256.h"
+#include "test_session.h"
 #include "util/random.h"
 
 namespace icp {
@@ -195,38 +195,42 @@ INSTANTIATE_TEST_SUITE_P(
 class SimdMtTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SimdMtTest, VbpMtSimd) {
-  ThreadPool pool(GetParam());
+  TestSession session(GetParam());
+  sched::QuerySession& ex = session.ex();
   const int k = 19;
-  const auto codes = RandomCodes(6000, k, 123);
+  // More than one quad morsel (1024 quads), so slots that receive no
+  // morsel must not leak their identity state into MIN/MAX.
+  const auto codes = RandomCodes(300000, k, 123);
   const VbpColumn scalar_col = VbpColumn::Pack(codes, k, {.lanes = 1});
   const VbpColumn simd_col = VbpColumn::Pack(codes, k, {.lanes = 4});
   const FilterBitVector f =
-      simd::ScanVbp(pool, simd_col, CompareOp::kLt, 300000);
+      simd::ScanVbp(ex, simd_col, CompareOp::kLt, 300000);
   const FilterBitVector f_ref =
       VbpScanner::Scan(scalar_col, CompareOp::kLt, 300000);
   ASSERT_TRUE(f == f_ref);
-  EXPECT_TRUE(simd::SumVbp(pool, simd_col, f) == vbp::Sum(scalar_col, f));
-  EXPECT_EQ(simd::MinVbp(pool, simd_col, f), vbp::Min(scalar_col, f));
-  EXPECT_EQ(simd::MaxVbp(pool, simd_col, f), vbp::Max(scalar_col, f));
-  EXPECT_EQ(simd::MedianVbp(pool, simd_col, f), vbp::Median(scalar_col, f));
+  EXPECT_TRUE(simd::SumVbp(ex, simd_col, f) == vbp::Sum(scalar_col, f));
+  EXPECT_EQ(simd::MinVbp(ex, simd_col, f), vbp::Min(scalar_col, f));
+  EXPECT_EQ(simd::MaxVbp(ex, simd_col, f), vbp::Max(scalar_col, f));
+  EXPECT_EQ(simd::MedianVbp(ex, simd_col, f), vbp::Median(scalar_col, f));
 }
 
 TEST_P(SimdMtTest, HbpMtSimd) {
-  ThreadPool pool(GetParam());
+  TestSession session(GetParam());
+  sched::QuerySession& ex = session.ex();
   const int k = 15;
-  const auto codes = RandomCodes(6000, k, 321);
+  const auto codes = RandomCodes(300000, k, 321);
   const HbpColumn scalar_col = HbpColumn::Pack(codes, k, {.lanes = 1});
   const HbpColumn simd_col =
       HbpColumn::Pack(codes, k, {.tau = scalar_col.tau(), .lanes = 4});
   const FilterBitVector f =
-      simd::ScanHbp(pool, simd_col, CompareOp::kGe, 9000);
+      simd::ScanHbp(ex, simd_col, CompareOp::kGe, 9000);
   const FilterBitVector f_ref =
       HbpScanner::Scan(scalar_col, CompareOp::kGe, 9000);
   ASSERT_TRUE(f == f_ref);
-  EXPECT_TRUE(simd::SumHbp(pool, simd_col, f) == hbp::Sum(scalar_col, f));
-  EXPECT_EQ(simd::MinHbp(pool, simd_col, f), hbp::Min(scalar_col, f));
-  EXPECT_EQ(simd::MaxHbp(pool, simd_col, f), hbp::Max(scalar_col, f));
-  EXPECT_EQ(simd::MedianHbp(pool, simd_col, f), hbp::Median(scalar_col, f));
+  EXPECT_TRUE(simd::SumHbp(ex, simd_col, f) == hbp::Sum(scalar_col, f));
+  EXPECT_EQ(simd::MinHbp(ex, simd_col, f), hbp::Min(scalar_col, f));
+  EXPECT_EQ(simd::MaxHbp(ex, simd_col, f), hbp::Max(scalar_col, f));
+  EXPECT_EQ(simd::MedianHbp(ex, simd_col, f), hbp::Median(scalar_col, f));
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, SimdMtTest, ::testing::Values(1, 2, 4));

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_session.h"
+
 namespace icp {
 namespace {
 
@@ -19,9 +21,9 @@ TEST(UmbrellaTest, OneSymbolPerLayer) {
   EXPECT_EQ(f.CountOnes(), 3u);
   // aggregation
   EXPECT_TRUE(vbp::Sum(column, f) == UInt128{12});
-  // parallel
-  ThreadPool pool(2);
-  EXPECT_EQ(par::Count(pool, f), 3u);
+  // parallel, on a scheduler session
+  TestSession session(2);
+  EXPECT_EQ(par::Count(session.ex(), f), 3u);
   // engine
   Table table;
   ASSERT_TRUE(table.AddColumn("x", {3, 1, 4, 1, 5}, {}).ok());

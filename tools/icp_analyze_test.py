@@ -315,6 +315,36 @@ class AnalyzeFixtureTest(unittest.TestCase):
             "ICP011", "loop over 'shard'", "src/sched/drain.cc"
         )
 
+    def test_simd_driver_loop_fires(self) -> None:
+        write(
+            self.root,
+            "src/simd/driver.cc",
+            "namespace fix {\n"
+            "int Walk(int num_segments) {\n"
+            "  int acc = 0;\n"
+            "  for (int seg = 0; seg < num_segments; ++seg) ++acc;\n"
+            "  return acc;\n"
+            "}\n"
+            "}  // namespace fix\n",
+        )
+        self.assert_finding(
+            "ICP011", "loop over 'seg'", "src/simd/driver.cc"
+        )
+
+    def test_sanctioned_kernel_tu_keeps_its_exemption(self) -> None:
+        append(
+            self.root,
+            "src/simd/agg_kernels.cc",
+            "namespace fix {\n"
+            "int Fold(int num_segments) {\n"
+            "  int acc = 0;\n"
+            "  for (int seg = 0; seg < num_segments; ++seg) ++acc;\n"
+            "  return acc;\n"
+            "}\n"
+            "}  // namespace fix\n",
+        )
+        self.assert_clean()
+
     def test_out_of_scope_dir_is_ignored(self) -> None:
         write(
             self.root,
