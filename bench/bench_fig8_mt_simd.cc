@@ -7,6 +7,12 @@
 // 2.2x-8.4x. NOTE: on a single-core host the MT bars are expected to be
 // ~1x — the harness prints the detected hardware concurrency so the reader
 // can interpret the bars (see EXPERIMENTS.md).
+//
+// The engine no longer has a "no SIMD" path: every Table column is packed
+// once in the lanes=4 form and every query runs the 256-bit drivers. The
+// base and MT bars therefore pack their own lanes=1 columns and call the
+// lanes=1 kernels (vbp::/hbp:: and par::) directly; they measure those
+// kernels, not anything a query can reach.
 
 // The harness also measures the morsel scheduler's own cost: the par::
 // drivers on a 0-worker scheduler session (parallelism 1, every morsel

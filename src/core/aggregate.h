@@ -16,6 +16,7 @@
 
 #include "bitvector/filter_bit_vector.h"
 #include "obs/obs.h"
+#include "simd/dispatch.h"
 #include "util/bits.h"
 
 namespace icp {
@@ -54,26 +55,26 @@ inline std::uint64_t LowerMedianRank(std::uint64_t count) {
   return (count + 1) / 2;
 }
 
-/// Optional instrumentation for the aggregation kernels. The scalar
-/// MIN/MAX cascades fill every field exactly; the value-at-a-time and
-/// SIMD dispatchers report the segment-liveness summary of
-/// CountFilterSegments below (see docs/observability.md).
-struct AggStats {
-  /// SLOTMIN / SUB-SLOTMIN folds attempted.
-  std::uint64_t folds = 0;
-  /// Folds whose comparison cascade decided every slot before the last
-  /// word-group (the paper's early stopping).
-  std::uint64_t compare_early_stops = 0;
-  /// Folds where no slot improved the running extreme (blend pass skipped).
-  std::uint64_t blends_skipped = 0;
-  /// Segments skipped outright because no tuple/candidate was live
-  /// (F == 0 in MIN/MAX, V == 0 in MEDIAN's iterations).
-  std::uint64_t segments_skipped = 0;
-};
+/// Optional instrumentation for the aggregation kernels: the kernel
+/// registry's fold counters, which the fold kernels fill in place. The
+/// MIN/MAX fold cascades fill every field exactly (per segment on
+/// lanes == 1 columns, per segment-quad on lanes == 4 ones); SUM,
+/// MEDIAN/RANK and the value-at-a-time dispatchers report the
+/// segment-liveness summary of CountFilterSegments below (see
+/// docs/observability.md).
+using AggStats = kern::FoldCounters;
+
+/// Adds `from` into `*to`, field by field.
+inline void AddAggStats(const AggStats& from, AggStats* to) {
+  to->folds += from.folds;
+  to->compare_early_stops += from.compare_early_stops;
+  to->blends_skipped += from.blends_skipped;
+  to->segments_skipped += from.segments_skipped;
+}
 
 /// Cheap segment-liveness summary for aggregate paths with no fold
-/// cascade to count (NBP / padded value walks skip all-dead segments;
-/// the SIMD dispatchers are uninstrumented inside): live segments count
+/// cascade to count (SUM, MEDIAN/RANK, and the NBP / padded value walks
+/// that skip all-dead segments): live segments count
 /// as folds, all-dead segments as segments_skipped. One O(segments) pass
 /// per aggregate call, only when the caller collects stats — the
 /// process-wide agg.* counters advance from the same numbers.
@@ -89,6 +90,26 @@ inline void CountFilterSegments(const FilterBitVector& filter,
   stats->segments_skipped += num_segments - live;
   ICP_OBS_ADD(AggSegmentsFolded, live);
   ICP_OBS_ADD(AggSegmentsSkipped, num_segments - live);
+}
+
+/// Adds the per-slot stats of a parallel region into `stats` (when
+/// non-null) once the region completes; the slots' fold ranges already
+/// advanced the process-wide counters.
+inline void AddSlotAggStats(const AggStats* slots, int n, AggStats* stats) {
+  if (stats == nullptr) return;
+  for (int i = 0; i < n; ++i) AddAggStats(slots[i], stats);
+}
+
+/// Adds one fold range's locally counted work to `stats` and advances the
+/// process-wide agg.* counters (one batched add per range). No-op when
+/// `stats` is null.
+inline void MergeAggStats(const AggStats& local, AggStats* stats) {
+  if (stats == nullptr) return;
+  AddAggStats(local, stats);
+  ICP_OBS_ADD(AggSegmentsFolded, local.folds);
+  ICP_OBS_ADD(AggCompareEarlyStops, local.compare_early_stops);
+  ICP_OBS_ADD(AggBlendsSkipped, local.blends_skipped);
+  ICP_OBS_ADD(AggSegmentsSkipped, local.segments_skipped);
 }
 
 /// Result of evaluating one aggregate over codes. `value` carries MIN/MAX/

@@ -71,21 +71,12 @@ void SubSlotExtremeRange(const HbpColumn& column,
   for (int g = 0; g < num_groups; ++g) {
     bases[g] = column.GroupData(g) + seg_begin * s;
   }
-  kern::FoldCounters counters;
+  AggStats local;
   kern::Ops().hbp_extreme_fold(bases, num_groups, s, column.tau(),
                                /*lanes=*/1, filter.words() + seg_begin,
                                seg_end - seg_begin, is_min, temp,
-                               stats != nullptr ? &counters : nullptr);
-  if (stats != nullptr) {
-    stats->folds += counters.folds;
-    stats->compare_early_stops += counters.compare_early_stops;
-    stats->blends_skipped += counters.blends_skipped;
-    stats->segments_skipped += counters.segments_skipped;
-    ICP_OBS_ADD(AggSegmentsFolded, counters.folds);
-    ICP_OBS_ADD(AggCompareEarlyStops, counters.compare_early_stops);
-    ICP_OBS_ADD(AggBlendsSkipped, counters.blends_skipped);
-    ICP_OBS_ADD(AggSegmentsSkipped, counters.segments_skipped);
-  }
+                               stats != nullptr ? &local : nullptr);
+  MergeAggStats(local, stats);
 }
 
 void MergeSubSlotExtreme(const HbpColumn& column, const Word* other,

@@ -10,21 +10,6 @@
 namespace icp::vbp {
 namespace {
 
-// kern::FoldCounters mirrors core::AggStats field-for-field (same leaf-
-// library reasoning as ScanCounters/ScanStats in scan/vbp_scanner.cc);
-// pin the mirror so the structs cannot drift apart silently.
-static_assert(sizeof(kern::FoldCounters) == sizeof(AggStats),
-              "kern::FoldCounters out of sync with core::AggStats; "
-              "update both structs and the merge sites together");
-static_assert(offsetof(kern::FoldCounters, folds) ==
-              offsetof(AggStats, folds));
-static_assert(offsetof(kern::FoldCounters, compare_early_stops) ==
-              offsetof(AggStats, compare_early_stops));
-static_assert(offsetof(kern::FoldCounters, blends_skipped) ==
-              offsetof(AggStats, blends_skipped));
-static_assert(offsetof(kern::FoldCounters, segments_skipped) ==
-              offsetof(AggStats, segments_skipped));
-
 // Number of live segments (segments that contain at least one real tuple).
 std::size_t LiveSegments(const FilterBitVector& filter) {
   return filter.num_segments();
@@ -94,21 +79,12 @@ void SlotExtremeRange(const VbpColumn& column, const FilterBitVector& filter,
     widths[g] = column.GroupWidth(g);
     bases[g] = column.GroupData(g) + seg_begin * widths[g];
   }
-  kern::FoldCounters counters;
+  AggStats local;
   kern::Ops().vbp_extreme_fold(bases, widths, num_groups, column.tau(),
                                /*lanes=*/1, filter.words() + seg_begin,
                                seg_end - seg_begin, is_min, temp,
-                               stats != nullptr ? &counters : nullptr);
-  if (stats != nullptr) {
-    stats->folds += counters.folds;
-    stats->compare_early_stops += counters.compare_early_stops;
-    stats->blends_skipped += counters.blends_skipped;
-    stats->segments_skipped += counters.segments_skipped;
-    ICP_OBS_ADD(AggSegmentsFolded, counters.folds);
-    ICP_OBS_ADD(AggCompareEarlyStops, counters.compare_early_stops);
-    ICP_OBS_ADD(AggBlendsSkipped, counters.blends_skipped);
-    ICP_OBS_ADD(AggSegmentsSkipped, counters.segments_skipped);
-  }
+                               stats != nullptr ? &local : nullptr);
+  MergeAggStats(local, stats);
 }
 
 void MergeSlotExtreme(const Word* other, int k, bool is_min, Word* temp) {

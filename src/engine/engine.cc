@@ -6,23 +6,18 @@
 #include <utility>
 #include <vector>
 
-#include "core/hbp_aggregate.h"
 #include "core/naive_aggregate.h"
 #include "core/nbp_aggregate.h"
 #include "core/padded_aggregate.h"
-#include "core/vbp_aggregate.h"
 #include "groupby/groupby.h"
 #include "obs/histogram.h"
 #include "obs/journal.h"
 #include "obs/obs.h"
 #include "obs/stage_timer.h"
 #include "obs/trace.h"
-#include "parallel/parallel_aggregate.h"
 #include "parallel/parallel_nbp.h"
-#include "scan/hbp_scanner.h"
 #include "scan/naive_scanner.h"
 #include "scan/padded_scanner.h"
-#include "scan/vbp_scanner.h"
 #include "sched/admission.h"
 #include "simd/dispatch.h"
 #include "simd/simd_parallel.h"
@@ -220,45 +215,30 @@ StatusOr<Engine::TriState> Engine::ScanLeaf(const Table& table,
 
   ScanStats sstats;
   ScanStats* sp = qs != nullptr ? &sstats : nullptr;
-  bool modeled = false;
   const CodePredicate pred =
       MapPredicate(column.encoder(), leaf.op(), leaf.value(), leaf.value2());
   if (pred.all || pred.none) {
     out.pass = FilterBitVector(table.num_rows(), vps);
     if (pred.all) out.pass.SetAll();
   } else {
+    // Bit-parallel leaves run the lanes == 4 drivers: serially on the
+    // one path that bypasses the scheduler, on the session otherwise.
     const bool serial = Serial();
     const CompareOp op = pred.op;
     const std::uint64_t c1 = pred.c1;
     const std::uint64_t c2 = pred.c2;
     switch (column.spec().layout) {
       case Layout::kVbp:
-        if (options_.simd) {
-          const VbpColumn& col = column.vbp_simd();
-          out.pass = serial ? simd::ScanVbp(col, op, c1, c2, sp, cancel)
-                            : simd::ScanVbp(*session_, col, op, c1, c2,
-                                            cancel, sp);
-          modeled = true;
-        } else {
-          const VbpColumn& col = column.vbp();
-          out.pass = serial ? VbpScanner::Scan(col, op, c1, c2, sp, cancel)
-                            : par::Scan(*session_, col, op, c1, c2, cancel,
-                                        sp);
-        }
+        out.pass = serial ? simd::ScanVbp(column.vbp(), op, c1, c2, sp,
+                                          cancel)
+                          : simd::ScanVbp(*session_, column.vbp(), op, c1,
+                                          c2, cancel, sp);
         break;
       case Layout::kHbp:
-        if (options_.simd) {
-          const HbpColumn& col = column.hbp_simd();
-          out.pass = serial ? simd::ScanHbp(col, op, c1, c2, sp, cancel)
-                            : simd::ScanHbp(*session_, col, op, c1, c2,
-                                            cancel, sp);
-          modeled = true;
-        } else {
-          const HbpColumn& col = column.hbp();
-          out.pass = serial ? HbpScanner::Scan(col, op, c1, c2, sp, cancel)
-                            : par::Scan(*session_, col, op, c1, c2, cancel,
-                                        sp);
-        }
+        out.pass = serial ? simd::ScanHbp(column.hbp(), op, c1, c2, sp,
+                                          cancel)
+                          : simd::ScanHbp(*session_, column.hbp(), op, c1,
+                                          c2, cancel, sp);
         break;
       case Layout::kNaive:
         // The scalar baseline scanners are deliberately uninstrumented
@@ -290,7 +270,6 @@ StatusOr<Engine::TriState> Engine::ScanLeaf(const Table& table,
     qs->words_scanned += sstats.words_examined;
     qs->segments_scanned += sstats.segments_processed;
     qs->segments_early_stopped += sstats.segments_early_stopped;
-    if (modeled) ++qs->scan_leaves_modeled;
     qs->scan_cycles += timer.ElapsedCycles();
   }
   return out;
@@ -474,28 +453,21 @@ StatusOr<QueryResult> Engine::AggregateImpl(const Table& table, AggKind kind,
 
   const bool serial = Serial();
   const bool bp = options_.method == AggMethod::kBitParallel;
-  const bool simd = bp && options_.simd;
   obs::QueryStats* qs = options_.stats;
   AggStats astats;
   AggStats* ap = qs != nullptr ? &astats : nullptr;
   AggregateResult agg;
   const obs::StageTimer agg_timer;
   ICP_OBS_TRACE_SPAN("execute.aggregate", 0);
+  const FilterBitVector& f = *effective;
   switch (column.spec().layout) {
     case Layout::kVbp: {
-      const FilterBitVector& f = *effective;
-      if (simd) {
-        const VbpColumn& col = column.vbp_simd();
+      const VbpColumn& col = column.vbp();
+      if (bp) {
         agg = serial ? simd::AggregateVbp(col, f, kind, rank, cancel, ap)
                      : simd::AggregateVbp(*session_, col, f, kind, rank,
                                           cancel, ap);
-      } else if (bp) {
-        const VbpColumn& col = column.vbp();
-        agg = serial ? vbp::Aggregate(col, f, kind, rank, cancel, ap)
-                     : par::Aggregate(*session_, col, f, kind, rank, cancel,
-                                      ap);
       } else {
-        const VbpColumn& col = column.vbp();
         agg = serial ? nbp::Aggregate(col, f, kind, rank, cancel, ap)
                      : par_nbp::Aggregate(*session_, col, f, kind, rank,
                                           cancel, ap);
@@ -503,19 +475,12 @@ StatusOr<QueryResult> Engine::AggregateImpl(const Table& table, AggKind kind,
       break;
     }
     case Layout::kHbp: {
-      const FilterBitVector& f = *effective;
-      if (simd) {
-        const HbpColumn& col = column.hbp_simd();
+      const HbpColumn& col = column.hbp();
+      if (bp) {
         agg = serial ? simd::AggregateHbp(col, f, kind, rank, cancel, ap)
                      : simd::AggregateHbp(*session_, col, f, kind, rank,
                                           cancel, ap);
-      } else if (bp) {
-        const HbpColumn& col = column.hbp();
-        agg = serial ? hbp::Aggregate(col, f, kind, rank, cancel, ap)
-                     : par::Aggregate(*session_, col, f, kind, rank, cancel,
-                                      ap);
       } else {
-        const HbpColumn& col = column.hbp();
         agg = serial ? nbp::Aggregate(col, f, kind, rank, cancel, ap)
                      : par_nbp::Aggregate(*session_, col, f, kind, rank,
                                           cancel, ap);
@@ -523,12 +488,10 @@ StatusOr<QueryResult> Engine::AggregateImpl(const Table& table, AggKind kind,
       break;
     }
     case Layout::kNaive:
-      agg = naive::Aggregate(column.naive(), *effective, kind, rank, cancel,
-                             ap);
+      agg = naive::Aggregate(column.naive(), f, kind, rank, cancel, ap);
       break;
     case Layout::kPadded:
-      agg = padded::Aggregate(column.padded(), *effective, kind, rank,
-                              cancel, ap);
+      agg = padded::Aggregate(column.padded(), f, kind, rank, cancel, ap);
       break;
   }
   const std::uint64_t agg_cycles = agg_timer.ElapsedCycles();
@@ -542,20 +505,23 @@ StatusOr<QueryResult> Engine::AggregateImpl(const Table& table, AggKind kind,
     qs->agg_blends_skipped += astats.blends_skipped;
     qs->method = AggMethodToString(options_.method);
     qs->threads = options_.threads;
-    qs->simd = options_.simd;
     qs->kernel_tier = kern::TierName(kern::EffectiveTier(kern::ActiveTier()));
     switch (column.spec().layout) {
       case Layout::kVbp:
         qs->agg_path = bp ? "vbp" : "nbp";
+        qs->lanes = column.vbp().lanes();
         break;
       case Layout::kHbp:
         qs->agg_path = bp ? "hbp" : "nbp";
+        qs->lanes = column.hbp().lanes();
         break;
       case Layout::kNaive:
         qs->agg_path = "naive";
+        qs->lanes = 1;
         break;
       case Layout::kPadded:
         qs->agg_path = "padded";
+        qs->lanes = 1;
         break;
     }
   }
@@ -882,7 +848,6 @@ Engine::SinglePassGroupBy(const Table& table, const Query& query,
     qs->groupby_partitions = gstats.partitions;
     qs->method = AggMethodToString(options_.method);
     qs->threads = options_.threads;
-    qs->simd = options_.simd;
     qs->kernel_tier = kern::TierName(kern::EffectiveTier(kern::ActiveTier()));
     qs->agg_path = gstats.hashed ? "groupby-hash" : "groupby-direct";
   }
@@ -1093,9 +1058,9 @@ std::string FormatExplainAnalyze(const obs::QueryStats& stats,
           AggKindToString(result.kind), result.value,
           static_cast<unsigned long long>(result.count),
           100.0 * stats.FilterDensity());
-  AppendF(&out, "plan:   method=%s path=%s tier=%s threads=%d simd=%s\n",
+  AppendF(&out, "plan:   method=%s path=%s tier=%s threads=%d lanes=%d\n",
           stats.method, stats.agg_path, stats.kernel_tier, stats.threads,
-          stats.simd ? "on" : "off");
+          stats.lanes);
   out += "stage              cycles   %-of-total\n";
   AppendStageRow(&out, "parse", stats.parse_cycles, stats.total_cycles);
   AppendStageRow(&out, "scan", stats.scan_cycles, stats.total_cycles);
@@ -1108,13 +1073,10 @@ std::string FormatExplainAnalyze(const obs::QueryStats& stats,
                      : 0,
                  stats.total_cycles);
   AppendStageRow(&out, "total", stats.total_cycles, stats.total_cycles);
-  AppendF(&out,
-          "scan:   words=%llu segments=%llu early_stopped=%llu "
-          "modeled_leaves=%llu\n",
+  AppendF(&out, "scan:   words=%llu segments=%llu early_stopped=%llu\n",
           static_cast<unsigned long long>(stats.words_scanned),
           static_cast<unsigned long long>(stats.segments_scanned),
-          static_cast<unsigned long long>(stats.segments_early_stopped),
-          static_cast<unsigned long long>(stats.scan_leaves_modeled));
+          static_cast<unsigned long long>(stats.segments_early_stopped));
   AppendF(&out, "filter: rows=%llu/%llu combine_words=%llu\n",
           static_cast<unsigned long long>(stats.rows_passing),
           static_cast<unsigned long long>(stats.rows_total),

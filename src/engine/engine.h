@@ -5,7 +5,9 @@
 // results combine with AND/OR/NOT, and the chosen aggregation method (the
 // paper's BP contribution or the NBP reconstruct-then-aggregate baseline)
 // consumes the filter bit vector. ExecOptions picks the comparison axes of
-// Section IV: method (BP/NBP), multi-threading, and SIMD.
+// Section IV that remain choices: method (BP/NBP) and multi-threading.
+// SIMD is not a choice: bit-parallel work always runs the 256-bit kernels
+// on the columns' one lanes == 4 packing.
 
 #ifndef ICP_ENGINE_ENGINE_H_
 #define ICP_ENGINE_ENGINE_H_
@@ -43,10 +45,9 @@ struct ExecOptions {
   /// private morsel scheduler with threads - 1 background workers (none
   /// at threads = 1); a governed one borrows the governor's.
   int threads = 1;
-  /// Use the 256-bit SIMD kernels (bit-parallel method only; the column's
-  /// lanes == 4 packing is built lazily, once per column, thread-safely).
-  /// Multi-threaded and governed SIMD queries run on the morsel
-  /// scheduler like every other parallel phase.
+  /// Has no effect: every VBP/HBP column is packed once in the lanes == 4
+  /// segment-quad form, and every bit-parallel scan and aggregate runs the
+  /// lanes == 4 (256-bit) kernels whatever this says.
   bool simd = false;
   /// Cooperative cancellation: every scan and aggregation kernel (scalar,
   /// SIMD, naive/padded, multi-threaded) polls this token every
@@ -54,12 +55,12 @@ struct ExecOptions {
   /// and the query returns Status kCancelled.
   /// Default-constructed tokens are inert (no overhead); the engine also
   /// observes the token between phases.
-  CancellationToken cancel_token;
+  CancellationToken cancel_token{};
   /// Per-call time budget: each Execute/ExecuteMulti/ExecuteGroupBy (and
   /// standalone EvaluateFilter/Aggregate) call converts it to an absolute
   /// deadline at entry and returns Status kDeadlineExceeded once it passes,
   /// with the same granularity as cancellation.
-  std::optional<std::chrono::nanoseconds> deadline;
+  std::optional<std::chrono::nanoseconds> deadline{};
   /// Per-query statistics sink. When non-null, Execute / ExecuteMulti /
   /// ExecuteGroupBy reset it at entry and fill the stage-cycle breakdown,
   /// scan/aggregate work counters and dispatch info; the standalone

@@ -1,8 +1,6 @@
 #include "engine/table.h"
 
-
 #include <algorithm>
-#include <mutex>
 #include <utility>
 
 namespace icp {
@@ -18,26 +16,6 @@ int Table::Column::values_per_segment() const {
       return kWordBits;
   }
   return kWordBits;
-}
-
-const VbpColumn& Table::Column::vbp_simd() const {
-  std::call_once(vbp_simd_once_, [this] {
-    VbpColumn::Options options;
-    options.tau = vbp_.tau();
-    options.lanes = 4;
-    vbp_simd_ = VbpColumn::Pack(codes_, encoder_.bit_width(), options);
-  });
-  return vbp_simd_;
-}
-
-const HbpColumn& Table::Column::hbp_simd() const {
-  std::call_once(hbp_simd_once_, [this] {
-    HbpColumn::Options options;
-    options.tau = hbp_.tau();
-    options.lanes = 4;
-    hbp_simd_ = HbpColumn::Pack(codes_, encoder_.bit_width(), options);
-  });
-  return hbp_simd_;
 }
 
 std::size_t Table::Column::MemoryBytes() const {
@@ -180,18 +158,12 @@ Status Table::AddColumnImpl(const std::string& name, ColumnSpec spec,
   column->encoder_ = std::move(encoder);
   const int k = column->encoder_.bit_width();
   switch (spec.layout) {
-    case Layout::kVbp: {
-      VbpColumn::Options options;
-      options.tau = spec.tau;
-      column->vbp_ = VbpColumn::Pack(codes, k, options);
+    case Layout::kVbp:
+      column->vbp_ = VbpColumn::Pack(codes, k, {.tau = spec.tau, .lanes = 4});
       break;
-    }
-    case Layout::kHbp: {
-      HbpColumn::Options options;
-      options.tau = spec.tau;
-      column->hbp_ = HbpColumn::Pack(codes, k, options);
+    case Layout::kHbp:
+      column->hbp_ = HbpColumn::Pack(codes, k, {.tau = spec.tau, .lanes = 4});
       break;
-    }
     case Layout::kNaive:
       column->naive_ = NaiveColumn::Pack(codes, k);
       break;

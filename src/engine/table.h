@@ -4,16 +4,16 @@
 // and group-bys are assumed to have been denormalized/materialized away, so
 // every query is a filter scan over some columns plus an aggregate over one
 // column. Each column chooses its layout (VBP/HBP/padded/naive), bit-group
-// size and
-// bit width at load time; the lanes == 4 SIMD packing of a column is built
-// lazily the first time a SIMD execution needs it.
+// size and bit width at load time. A VBP or HBP column is packed once, at
+// load time, in the lanes == 4 segment-quad form: the same (plane or
+// sub-segment) word of four consecutive segments is one 256-bit load, and
+// every bit-parallel scan and aggregate runs on that one packing.
 
 #ifndef ICP_ENGINE_TABLE_H_
 #define ICP_ENGINE_TABLE_H_
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -78,15 +78,16 @@ class Table {
     /// Tuples covered by one filter segment for this column's layout.
     int values_per_segment() const;
 
+    /// The column's one packing; VBP and HBP are lanes == 4.
     const VbpColumn& vbp() const { return vbp_; }
     const HbpColumn& hbp() const { return hbp_; }
     const NaiveColumn& naive() const { return naive_; }
     const PaddedColumn& padded() const { return padded_; }
 
-    /// Lazily-built SIMD (lanes == 4) packings. Thread-safe: concurrent
-    /// first calls (several engines on one Table) pack exactly once.
-    const VbpColumn& vbp_simd() const;
-    const HbpColumn& hbp_simd() const;
+    /// Aliases of vbp() / hbp(), kept for callers written against the
+    /// former lazily-built second packing.
+    const VbpColumn& vbp_simd() const { return vbp_; }
+    const HbpColumn& hbp_simd() const { return hbp_; }
 
     /// True if the column can contain NULLs.
     bool nullable() const { return nullable_; }
@@ -94,10 +95,11 @@ class Table {
     /// segments. Only meaningful when nullable().
     const FilterBitVector& validity() const { return validity_; }
 
-    /// The column's encoded codes (one per row); used by serialization.
+    /// The column's encoded codes (one per row); used by GROUP BY and
+    /// serialization.
     const std::vector<std::uint64_t>& codes() const { return codes_; }
 
-    /// Packed size of the primary (scalar) packing, in bytes.
+    /// Size of the column's packing, in bytes.
     std::size_t MemoryBytes() const;
 
    private:
@@ -106,15 +108,11 @@ class Table {
     std::string name_;
     ColumnSpec spec_;
     ColumnEncoder encoder_;
-    std::vector<std::uint64_t> codes_;  // kept for lazy SIMD packing
+    std::vector<std::uint64_t> codes_;
     VbpColumn vbp_;
     HbpColumn hbp_;
     NaiveColumn naive_;
     PaddedColumn padded_;
-    mutable std::once_flag vbp_simd_once_;
-    mutable std::once_flag hbp_simd_once_;
-    mutable VbpColumn vbp_simd_;
-    mutable HbpColumn hbp_simd_;
     bool nullable_ = false;
     FilterBitVector validity_;
   };

@@ -33,7 +33,7 @@ struct CsvColumnSpec {
   int scale = 2;
 
   /// Storage configuration for the resulting table column.
-  ColumnSpec storage;
+  ColumnSpec storage{};
 };
 
 struct CsvOptions {

@@ -1,5 +1,7 @@
 #include "layout/hbp_column.h"
 
+#include <algorithm>
+
 namespace icp {
 
 HbpColumn HbpColumn::Pack(const std::uint64_t* codes, std::size_t n, int k,
@@ -30,18 +32,30 @@ HbpColumn HbpColumn::Pack(const std::uint64_t* codes, std::size_t n, int k,
   }
   if (!col.storage_ok()) return col;  // caller surfaces the failed alloc
 
+  // One word at a time: sub-segment t of segment seg holds values
+  // r = f * s + t at field f, so each (group, sub-segment) word is built
+  // in a register from its m codes and stored once. Padding fields and
+  // segments stay 0.
   const Word group_mask = LowMask(tau);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t v = codes[i];
-    ICP_DCHECK(k == kWordBits || v < (std::uint64_t{1} << k));
-    const std::size_t seg = i / vps;
-    const int r = static_cast<int>(i % vps);
-    const int t = r % s;       // sub-segment
-    const int f = r / s;       // slot (field) within the sub-segment's words
-    const int field_shift = kWordBits - (f + 1) * s;
-    for (int g = 0; g < col.num_groups_; ++g) {
-      const Word group_value = (v >> col.GroupShift(g)) & group_mask;
-      col.groups_[g][col.WordIndex(g, seg, t)] |= group_value << field_shift;
+  const int m = col.fields_per_word_;
+  for (std::size_t seg = 0; seg < raw_segments; ++seg) {
+    const std::size_t first = seg * static_cast<std::size_t>(vps);
+    const std::size_t count =
+        std::min<std::size_t>(static_cast<std::size_t>(vps), n - first);
+    const std::uint64_t* seg_codes = codes + first;
+    for (int t = 0; t < s; ++t) {
+      for (int g = 0; g < col.num_groups_; ++g) {
+        const int shift = col.GroupShift(g);
+        Word w = 0;
+        for (int f = 0; f < m; ++f) {
+          const std::size_t r = static_cast<std::size_t>(f * s + t);
+          if (r >= count) break;
+          ICP_DCHECK(seg_codes[r] < (std::uint64_t{1} << k));
+          w |= ((seg_codes[r] >> shift) & group_mask)
+               << (kWordBits - (f + 1) * s);
+        }
+        col.groups_[g][col.WordIndex(g, seg, t)] = w;
+      }
     }
   }
   return col;

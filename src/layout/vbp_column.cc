@@ -1,6 +1,39 @@
 #include "layout/vbp_column.h"
 
+#include <algorithm>
+
 namespace icp {
+namespace {
+
+// One round of the 64x64 bit-matrix transpose below: swaps the
+// off-diagonal W x W blocks of every 2W x 2W block. W is a template
+// argument so each round unrolls and vectorizes.
+template <int W>
+void TransposeRound(Word* rows) {
+  // W ones, W zeros, repeated: the low half of every 2W-bit block.
+  constexpr Word kMask = ~Word{0} / ((Word{1} << W) + 1);
+  for (int base = 0; base < kWordBits; base += 2 * W) {
+    for (int r = base; r < base + W; ++r) {
+      const Word t = (rows[r] ^ (rows[r + W] >> W)) & kMask;
+      rows[r] ^= t;
+      rows[r + W] ^= t << W;
+    }
+  }
+}
+
+// In-place transpose of a 64x64 bit matrix whose row r is rows[r] with
+// column c at bit 63 - c (Hacker's Delight 7-3, widened to 64 bits). After
+// it, rows[c] bit 63 - r holds what rows[r] bit 63 - c held.
+void Transpose64(Word* rows) {
+  TransposeRound<32>(rows);
+  TransposeRound<16>(rows);
+  TransposeRound<8>(rows);
+  TransposeRound<4>(rows);
+  TransposeRound<2>(rows);
+  TransposeRound<1>(rows);
+}
+
+}  // namespace
 
 VbpColumn VbpColumn::Pack(const std::uint64_t* codes, std::size_t n, int k,
                           Options options) {
@@ -31,17 +64,28 @@ VbpColumn VbpColumn::Pack(const std::uint64_t* codes, std::size_t n, int k,
   }
   if (!col.storage_ok()) return col;  // caller surfaces the failed alloc
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t v = codes[i];
-    ICP_DCHECK(k == kWordBits || v < (std::uint64_t{1} << k));
-    const std::size_t seg = i / kValuesPerSegment;
-    const int bit_pos =
-        kWordBits - 1 - static_cast<int>(i % kValuesPerSegment);
-    for (int j = 0; j < k; ++j) {
-      if ((v >> (k - 1 - j)) & 1) {
-        const int g = j / tau;
-        const int jj = j - g * tau;
-        col.groups_[g][col.WordIndex(g, seg, jj)] |= Word{1} << bit_pos;
+  // One segment at a time: its 64 codes are the rows of a bit matrix
+  // (slot i in row i, so the paper's v_1 lands in bit 63 after the
+  // transpose), and transposed row 63 - b is the plane of code bit b.
+  // Plane j (0 = most significant) is therefore row 64 - k + j; each is
+  // stored once, straight to its word. Padding slots and segments stay 0.
+  Word rows[kWordBits];
+  for (std::size_t seg = 0; seg < raw_segments; ++seg) {
+    const std::size_t first = seg * kValuesPerSegment;
+    const std::size_t count =
+        std::min<std::size_t>(kValuesPerSegment, n - first);
+    std::copy_n(codes + first, count, rows);
+    std::fill(rows + count, rows + kWordBits, Word{0});
+    for (std::size_t i = 0; i < count; ++i) {
+      ICP_DCHECK(rows[i] < (std::uint64_t{1} << k));
+    }
+    Transpose64(rows);
+    const Word* planes = rows + (kWordBits - k);
+    for (int g = 0; g < num_groups; ++g) {
+      Word* group = col.groups_[g].data();
+      const int width = col.GroupWidth(g);
+      for (int jj = 0; jj < width; ++jj) {
+        group[col.WordIndex(g, seg, jj)] = planes[g * tau + jj];
       }
     }
   }

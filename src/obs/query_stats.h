@@ -39,10 +39,6 @@ struct QueryStats {
   std::uint64_t words_scanned = 0;
   std::uint64_t segments_scanned = 0;
   std::uint64_t segments_early_stopped = 0;
-  /// Scan leaves whose word counts are analytic upper bounds (the SIMD
-  /// lane kernels are not instrumented per-word; see
-  /// docs/observability.md).
-  std::uint64_t scan_leaves_modeled = 0;
 
   // -- Aggregate work (from core::AggStats).
   std::uint64_t agg_folds = 0;
@@ -80,7 +76,11 @@ struct QueryStats {
   const char* agg_path = "";
   const char* method = "";
   int threads = 1;
-  bool simd = false;
+  /// Segment interleaving of the packing the aggregate read: 4 for VBP
+  /// and HBP (their one packing), 1 for the naive and padded baselines,
+  /// 0 when no packed column was aggregated (the single-pass GROUP BY
+  /// reads raw codes).
+  int lanes = 0;
 
   /// Fraction of rows passing the filter, in [0, 1]; 1 when the query
   /// had no filter (rows_passing == rows_total == table rows).

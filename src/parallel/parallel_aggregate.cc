@@ -4,8 +4,6 @@
 
 #include "core/hbp_aggregate.h"
 #include "core/vbp_aggregate.h"
-#include "scan/hbp_scanner.h"
-#include "scan/vbp_scanner.h"
 #include "simd/dispatch.h"
 #include "util/check.h"
 
@@ -13,29 +11,6 @@ namespace icp::par {
 namespace {
 
 constexpr int kMaxThreads = 256;
-
-// Adds every slot's local ScanStats into the caller's (after the region
-// completes, so there is no concurrent write). The locals already
-// advanced the process-wide counters inside the scanners.
-void MergeLocalScanStats(const ScanStats* locals, int n, ScanStats* stats) {
-  if (stats == nullptr) return;
-  for (int i = 0; i < n; ++i) {
-    stats->words_examined += locals[i].words_examined;
-    stats->segments_processed += locals[i].segments_processed;
-    stats->segments_early_stopped += locals[i].segments_early_stopped;
-  }
-}
-
-// Same for AggStats (the fold kernels advanced the global counters).
-void MergeLocalAggStats(const AggStats* locals, int n, AggStats* stats) {
-  if (stats == nullptr) return;
-  for (int i = 0; i < n; ++i) {
-    stats->folds += locals[i].folds;
-    stats->compare_early_stops += locals[i].compare_early_stops;
-    stats->blends_skipped += locals[i].blends_skipped;
-    stats->segments_skipped += locals[i].segments_skipped;
-  }
-}
 
 }  // namespace
 
@@ -53,38 +28,6 @@ std::uint64_t Count(ParallelExecutor& ex, const FilterBitVector& filter) {
   std::uint64_t total = 0;
   for (int i = 0; i < ex.max_slots(); ++i) total += partial[i];
   return total;
-}
-
-FilterBitVector Scan(ParallelExecutor& ex, const VbpColumn& column,
-                     CompareOp op, std::uint64_t c1, std::uint64_t c2,
-                     const CancelContext* cancel, ScanStats* stats) {
-  FilterBitVector out(column.num_values(), VbpColumn::kValuesPerSegment);
-  ICP_CHECK_LE(ex.max_slots(), kMaxThreads);
-  ScanStats locals[kMaxThreads];
-  ex.ParallelFor(out.num_segments(), cancel,
-                 [&](int slot, std::size_t b, std::size_t e) {
-                   VbpScanner::ScanRange(
-                       column, op, c1, c2, b, e, &out,
-                       stats != nullptr ? &locals[slot] : nullptr);
-                 });
-  MergeLocalScanStats(locals, ex.max_slots(), stats);
-  return out;
-}
-
-FilterBitVector Scan(ParallelExecutor& ex, const HbpColumn& column,
-                     CompareOp op, std::uint64_t c1, std::uint64_t c2,
-                     const CancelContext* cancel, ScanStats* stats) {
-  FilterBitVector out(column.num_values(), column.values_per_segment());
-  ICP_CHECK_LE(ex.max_slots(), kMaxThreads);
-  ScanStats locals[kMaxThreads];
-  ex.ParallelFor(out.num_segments(), cancel,
-                 [&](int slot, std::size_t b, std::size_t e) {
-                   HbpScanner::ScanRange(
-                       column, op, c1, c2, b, e, &out,
-                       stats != nullptr ? &locals[slot] : nullptr);
-                 });
-  MergeLocalScanStats(locals, ex.max_slots(), stats);
-  return out;
 }
 
 UInt128 Sum(ParallelExecutor& ex, const VbpColumn& column,
@@ -160,7 +103,7 @@ std::optional<std::uint64_t> ExtremeVbp(ParallelExecutor& ex,
                        temps.data() + slot * kWordBits,
                        stats != nullptr ? &locals[slot] : nullptr);
                  });
-  MergeLocalAggStats(locals, slots, stats);
+  AddSlotAggStats(locals, slots, stats);
   for (int i = 1; i < slots; ++i) {
     vbp::MergeSlotExtreme(temps.data() + i * kWordBits, k, is_min,
                           temps.data());
@@ -192,7 +135,7 @@ std::optional<std::uint64_t> ExtremeHbp(ParallelExecutor& ex,
                        temps.data() + slot * kWordBits,
                        stats != nullptr ? &locals[slot] : nullptr);
                  });
-  MergeLocalAggStats(locals, slots, stats);
+  AddSlotAggStats(locals, slots, stats);
   for (int i = 1; i < slots; ++i) {
     hbp::MergeSubSlotExtreme(column, temps.data() + i * kWordBits, is_min,
                              temps.data());
@@ -345,60 +288,6 @@ std::optional<std::uint64_t> Median(ParallelExecutor& ex,
   const std::uint64_t count = Count(ex, filter);
   if (count == 0) return std::nullopt;
   return RankSelect(ex, column, filter, LowerMedianRank(count), cancel);
-}
-
-namespace {
-
-template <typename ColumnT>
-AggregateResult AggregateImpl(ParallelExecutor& ex, const ColumnT& column,
-                              const FilterBitVector& filter, AggKind kind,
-                              std::uint64_t rank,
-                              const CancelContext* cancel, AggStats* stats) {
-  AggregateResult result;
-  result.kind = kind;
-  result.count = Count(ex, filter);
-  switch (kind) {
-    case AggKind::kCount:
-      break;
-    case AggKind::kSum:
-    case AggKind::kAvg:
-      result.sum = Sum(ex, column, filter, cancel);
-      CountFilterSegments(filter, stats);
-      break;
-    case AggKind::kMin:
-      result.value = Min(ex, column, filter, cancel, stats);
-      break;
-    case AggKind::kMax:
-      result.value = Max(ex, column, filter, cancel, stats);
-      break;
-    case AggKind::kMedian:
-      result.value = Median(ex, column, filter, cancel);
-      CountFilterSegments(filter, stats);
-      break;
-    case AggKind::kRank:
-      result.value = RankSelect(ex, column, filter, rank, cancel);
-      CountFilterSegments(filter, stats);
-      break;
-  }
-  return result;
-}
-
-}  // namespace
-
-AggregateResult Aggregate(ParallelExecutor& ex, const VbpColumn& column,
-                          const FilterBitVector& filter, AggKind kind,
-                          std::uint64_t rank, const CancelContext* cancel,
-                          AggStats* stats) {
-  ICP_OBS_INCREMENT(AggPathVbp);
-  return AggregateImpl(ex, column, filter, kind, rank, cancel, stats);
-}
-
-AggregateResult Aggregate(ParallelExecutor& ex, const HbpColumn& column,
-                          const FilterBitVector& filter, AggKind kind,
-                          std::uint64_t rank, const CancelContext* cancel,
-                          AggStats* stats) {
-  ICP_OBS_INCREMENT(AggPathHbp);
-  return AggregateImpl(ex, column, filter, kind, rank, cancel, stats);
 }
 
 }  // namespace icp::par

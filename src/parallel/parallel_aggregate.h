@@ -30,7 +30,6 @@
 #include "layout/hbp_column.h"
 #include "layout/vbp_column.h"
 #include "parallel/executor.h"
-#include "scan/predicate.h"
 #include "util/cancellation.h"
 
 namespace icp::par {
@@ -38,22 +37,11 @@ namespace icp::par {
 /// Parallel COUNT: popcount of the filter, partitioned across slots.
 std::uint64_t Count(ParallelExecutor& ex, const FilterBitVector& filter);
 
-/// Parallel bit-parallel filter scans. Every entry point below takes an
-/// optional CancelContext: the executor checks it at least once per
-/// subrange (batch or morsel) and stops issuing work once it fires.
-/// Participants always drain cleanly; the partial result is meaningless
-/// and the engine surfaces the context's Status. `stats`, when non-null,
-/// receives the per-slot counters summed after the region completes (no
-/// worker writes it concurrently).
-FilterBitVector Scan(ParallelExecutor& ex, const VbpColumn& column,
-                     CompareOp op, std::uint64_t c1, std::uint64_t c2 = 0,
-                     const CancelContext* cancel = nullptr,
-                     ScanStats* stats = nullptr);
-FilterBitVector Scan(ParallelExecutor& ex, const HbpColumn& column,
-                     CompareOp op, std::uint64_t c1, std::uint64_t c2 = 0,
-                     const CancelContext* cancel = nullptr,
-                     ScanStats* stats = nullptr);
-
+/// Every entry point below takes an optional CancelContext: the executor
+/// checks it at least once per subrange (morsel) and stops issuing work
+/// once it fires. Participants always drain cleanly; the partial result
+/// is meaningless and the caller surfaces the context's Status.
+///
 /// Parallel SUM. The per-slot partial arrays count against the
 /// executor's scratch budget; a refused budget returns 0 and the
 /// executor latches kResourceExhausted for the engine to surface.
@@ -108,20 +96,6 @@ std::optional<std::uint64_t> Median(ParallelExecutor& ex,
                                     const HbpColumn& column,
                                     const FilterBitVector& filter,
                                     const CancelContext* cancel = nullptr);
-
-/// Convenience dispatcher mirroring vbp::Aggregate / hbp::Aggregate,
-/// including the AggStats contract (exact for MIN/MAX, liveness summary
-/// for the other kinds).
-AggregateResult Aggregate(ParallelExecutor& ex, const VbpColumn& column,
-                          const FilterBitVector& filter, AggKind kind,
-                          std::uint64_t rank = 0,
-                          const CancelContext* cancel = nullptr,
-                          AggStats* stats = nullptr);
-AggregateResult Aggregate(ParallelExecutor& ex, const HbpColumn& column,
-                          const FilterBitVector& filter, AggKind kind,
-                          std::uint64_t rank = 0,
-                          const CancelContext* cancel = nullptr,
-                          AggStats* stats = nullptr);
 
 }  // namespace icp::par
 

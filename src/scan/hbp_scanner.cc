@@ -31,18 +31,6 @@ void BuildPackedConstants(const HbpColumn& column, std::uint64_t c1,
   }
 }
 
-// Also feeds the process-wide scan.* counters; see the VBP twin for the
-// batching rationale.
-void MergeScanCounters(const kern::ScanCounters& local, ScanStats* stats) {
-  if (stats == nullptr) return;
-  stats->words_examined += local.words_examined;
-  stats->segments_processed += local.segments_processed;
-  stats->segments_early_stopped += local.segments_early_stopped;
-  ICP_OBS_ADD(ScanWordsExamined, local.words_examined);
-  ICP_OBS_ADD(ScanSegmentsProcessed, local.segments_processed);
-  ICP_OBS_ADD(ScanSegmentsEarlyStopped, local.segments_early_stopped);
-}
-
 }  // namespace
 
 FilterBitVector HbpScanner::Scan(const HbpColumn& column, CompareOp op,
@@ -88,7 +76,7 @@ void HbpScanner::ScanRange(const HbpColumn& column, CompareOp op,
     bases[g] = column.GroupData(g) + seg_begin * s;
   }
 
-  kern::ScanCounters local;
+  ScanStats local;
   kern::Ops().hbp_scan(bases, num_groups, s, static_cast<int>(op),
                        c1_packed.data(), c2_packed.data(), DelimiterMask(s),
                        seg_end - seg_begin, /*prior=*/nullptr,
@@ -100,7 +88,7 @@ void HbpScanner::ScanRange(const HbpColumn& column, CompareOp op,
   for (std::size_t seg = seg_begin; seg < seg_end; ++seg) {
     out->words()[seg] &= out->ValidMask(seg);
   }
-  MergeScanCounters(local, stats);
+  MergeScanStats(local, stats);
 }
 
 FilterBitVector HbpScanner::ScanAnd(const HbpColumn& column, CompareOp op,
@@ -126,7 +114,7 @@ FilterBitVector HbpScanner::ScanAnd(const HbpColumn& column, CompareOp op,
 
   const int num_groups = column.num_groups();
   const kern::KernelOps& ops = kern::Ops();
-  kern::ScanCounters local;
+  ScanStats local;
   ForEachCancellableBatch(
       cancel, 0, out.num_segments(), [&](std::size_t lo, std::size_t hi) {
         const Word* bases[kWordBits];
@@ -140,7 +128,7 @@ FilterBitVector HbpScanner::ScanAnd(const HbpColumn& column, CompareOp op,
                      hi - lo, prior.words() + lo, out.words() + lo,
                      stats != nullptr ? &local : nullptr);
       });
-  MergeScanCounters(local, stats);
+  MergeScanStats(local, stats);
   return out;
 }
 

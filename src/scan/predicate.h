@@ -8,6 +8,7 @@
 #include <cstdint>
 
 #include "obs/obs.h"
+#include "simd/dispatch.h"
 
 namespace icp {
 
@@ -53,26 +54,36 @@ inline bool EvalCompare(std::uint64_t v, CompareOp op, std::uint64_t c1,
 bool ScanIsDegenerate(int k, CompareOp op, std::uint64_t c1, std::uint64_t* c2,
                       bool* all_pass);
 
-/// Statistics a scan can optionally report (used by the early-stopping and
-/// word-group ablation benchmarks).
-struct ScanStats {
-  std::uint64_t words_examined = 0;
-  std::uint64_t segments_processed = 0;
-  std::uint64_t segments_early_stopped = 0;
-};
+/// Statistics a scan can optionally report (used by EXPLAIN ANALYZE and
+/// the early-stopping and word-group ablation benchmarks): the kernel
+/// registry's own counter struct, which the scan kernels fill in place.
+using ScanStats = kern::ScanCounters;
 
-/// Reports an analytic scan-cost model into `stats` and the process-wide
-/// counters (the SIMD scan kernels are uninstrumented inside; words is the
-/// layout's word count with no early stopping, and early_stopped stays 0 —
-/// see QueryStats::scan_leaves_modeled and docs/observability.md). Only
-/// fires when the caller collects ScanStats, like the instrumented paths.
-inline void RecordModeledScan(std::uint64_t segments, std::uint64_t words,
-                              ScanStats* stats) {
+/// Adds `from` into `*to`, field by field.
+inline void AddScanStats(const ScanStats& from, ScanStats* to) {
+  to->words_examined += from.words_examined;
+  to->segments_processed += from.segments_processed;
+  to->segments_early_stopped += from.segments_early_stopped;
+}
+
+/// Adds the per-slot stats of a parallel region into `stats` (when
+/// non-null) once the region completes; the slots' scan ranges already
+/// advanced the process-wide counters.
+inline void AddSlotScanStats(const ScanStats* slots, int n,
+                             ScanStats* stats) {
   if (stats == nullptr) return;
-  stats->words_examined += words;
-  stats->segments_processed += segments;
-  ICP_OBS_ADD(ScanWordsExamined, words);
-  ICP_OBS_ADD(ScanSegmentsProcessed, segments);
+  for (int i = 0; i < n; ++i) AddScanStats(slots[i], stats);
+}
+
+/// Adds one scan range's locally counted work to `stats` and advances the
+/// process-wide scan.* counters: one batched add per range, so the kernel
+/// loops carry no counter traffic. No-op when `stats` is null.
+inline void MergeScanStats(const ScanStats& local, ScanStats* stats) {
+  if (stats == nullptr) return;
+  AddScanStats(local, stats);
+  ICP_OBS_ADD(ScanWordsExamined, local.words_examined);
+  ICP_OBS_ADD(ScanSegmentsProcessed, local.segments_processed);
+  ICP_OBS_ADD(ScanSegmentsEarlyStopped, local.segments_early_stopped);
 }
 
 }  // namespace icp

@@ -31,35 +31,6 @@ void BuildConstantBits(int k, std::uint64_t c1, std::uint64_t c2,
   }
 }
 
-// kern::ScanCounters mirrors ScanStats field-for-field (the dispatch
-// layer stays a leaf library, so it cannot include scan/predicate.h).
-// Pin the mirror at compile time: a field added to one struct without
-// the other — or reordered — fails here instead of silently dropping a
-// statistic in MergeScanCounters below.
-static_assert(sizeof(kern::ScanCounters) == sizeof(ScanStats),
-              "kern::ScanCounters out of sync with scan::ScanStats; "
-              "update both structs and MergeScanCounters together");
-static_assert(offsetof(kern::ScanCounters, words_examined) ==
-              offsetof(ScanStats, words_examined));
-static_assert(offsetof(kern::ScanCounters, segments_processed) ==
-              offsetof(ScanStats, segments_processed));
-static_assert(offsetof(kern::ScanCounters, segments_early_stopped) ==
-              offsetof(ScanStats, segments_early_stopped));
-
-// Also feeds the process-wide scan.* counters; one batched Add per scan
-// call, so the per-word hot loops stay untouched. (The kernels only
-// collect counters when the caller asked for ScanStats — the engine
-// always does, stat-less bench paths keep the uninstrumented kernels.)
-void MergeScanCounters(const kern::ScanCounters& local, ScanStats* stats) {
-  if (stats == nullptr) return;
-  stats->words_examined += local.words_examined;
-  stats->segments_processed += local.segments_processed;
-  stats->segments_early_stopped += local.segments_early_stopped;
-  ICP_OBS_ADD(ScanWordsExamined, local.words_examined);
-  ICP_OBS_ADD(ScanSegmentsProcessed, local.segments_processed);
-  ICP_OBS_ADD(ScanSegmentsEarlyStopped, local.segments_early_stopped);
-}
-
 }  // namespace
 
 FilterBitVector VbpScanner::Scan(const VbpColumn& column, CompareOp op,
@@ -106,7 +77,7 @@ void VbpScanner::ScanRange(const VbpColumn& column, CompareOp op,
     bases[g] = column.GroupData(g) + seg_begin * widths[g];
   }
 
-  kern::ScanCounters local;
+  ScanStats local;
   Word* out_words = out->words() + seg_begin;
   kern::Ops().vbp_scan(bases, widths, num_groups, column.tau(),
                        static_cast<int>(op), c1_bits.data(), c2_bits.data(),
@@ -118,7 +89,7 @@ void VbpScanner::ScanRange(const VbpColumn& column, CompareOp op,
   for (std::size_t seg = seg_begin; seg < seg_end; ++seg) {
     out->words()[seg] &= out->ValidMask(seg);
   }
-  MergeScanCounters(local, stats);
+  MergeScanStats(local, stats);
 }
 
 FilterBitVector VbpScanner::ScanAnd(const VbpColumn& column, CompareOp op,
@@ -145,7 +116,7 @@ FilterBitVector VbpScanner::ScanAnd(const VbpColumn& column, CompareOp op,
 
   const int num_groups = column.num_groups();
   const kern::KernelOps& ops = kern::Ops();
-  kern::ScanCounters local;
+  ScanStats local;
   ForEachCancellableBatch(
       cancel, 0, out.num_segments(), [&](std::size_t b, std::size_t e) {
         const Word* bases[kWordBits];
@@ -161,7 +132,7 @@ FilterBitVector VbpScanner::ScanAnd(const VbpColumn& column, CompareOp op,
                      e - b, prior.words() + b, out.words() + b,
                      stats != nullptr ? &local : nullptr);
       });
-  MergeScanCounters(local, stats);
+  MergeScanStats(local, stats);
   return out;
 }
 

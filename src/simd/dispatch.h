@@ -81,21 +81,26 @@ enum class CombineOp : int {
   kAndNot = 3,  // dst &= ~src
 };
 
-// Scan-side statistics produced by the scanner kernels. Field meanings
-// match scan::ScanStats (scan/predicate.h); the dispatch layer keeps its
-// own mirror struct so it stays a leaf library.
+// Scan-side statistics produced by the scanner kernels; scan::ScanStats
+// (scan/predicate.h) is this struct, so counts need no copying.
 struct ScanCounters {
   std::uint64_t words_examined = 0;
   std::uint64_t segments_processed = 0;
   std::uint64_t segments_early_stopped = 0;
 };
 
-// Aggregate-side statistics produced by the extreme-fold kernels. Field
-// meanings match core::AggStats (core/aggregate.h).
+// Aggregate-side statistics produced by the extreme-fold kernels;
+// core::AggStats (core/aggregate.h) is this struct.
 struct FoldCounters {
+  // SLOTMIN / SUB-SLOTMIN folds attempted.
   std::uint64_t folds = 0;
+  // Folds whose comparison cascade decided every slot before the last
+  // word-group (the paper's early stopping).
   std::uint64_t compare_early_stops = 0;
+  // Folds where no slot improved the running extreme (blend pass skipped).
   std::uint64_t blends_skipped = 0;
+  // Segments skipped outright because no tuple/candidate was live
+  // (F == 0 in MIN/MAX, V == 0 in MEDIAN's iterations).
   std::uint64_t segments_skipped = 0;
 };
 

@@ -69,20 +69,15 @@ FilterBitVector ScanHbp(const HbpColumn& column, CompareOp op,
   ForEachCancellableBatch(cancel, 0, column.num_segments(),
                           [&](std::size_t b, std::size_t e) {
                             ScanHbpRange(column, op, c1, c2, b / 4, e / 4,
-                                        &out);
+                                         &out, stats);
                           });
-  // Model: s sub-segment words per group per segment.
-  RecordModeledScan(column.num_segments(),
-                    column.num_segments() *
-                        static_cast<std::uint64_t>(column.num_groups()) *
-                        static_cast<std::uint64_t>(column.field_width()),
-                    stats);
   return out;
 }
 
 void ScanHbpRange(const HbpColumn& column, CompareOp op, std::uint64_t c1,
                   std::uint64_t c2, std::size_t quad_begin,
-                  std::size_t quad_end, FilterBitVector* out) {
+                  std::size_t quad_end, FilterBitVector* out,
+                  ScanStats* stats) {
   ICP_CHECK_EQ(column.lanes(), 4);
   ICP_CHECK_EQ(out->values_per_segment(), column.values_per_segment());
   const int k = column.bit_width();
@@ -121,12 +116,19 @@ void ScanHbpRange(const HbpColumn& column, CompareOp op, std::uint64_t c1,
 
   std::array<FieldCompareState256, kWordBits> a;
   std::array<FieldCompareState256, kWordBits> b;
+  // Work counted per quad for its live segments only (the final quad may
+  // carry up to three padding segments).
+  std::uint64_t processed = 0;
+  std::uint64_t early_stopped = 0;
+  std::uint64_t words = 0;
   Word* f_words = out->words();
   for (std::size_t q = quad_begin; q < quad_end; ++q) {
+    const std::uint64_t live = std::min<std::size_t>(4, live_segments - q * 4);
     for (int t = 0; t < s; ++t) {
       a[t].Reset(md);
       b[t].Reset(md);
     }
+    int groups = 0;
     for (int g = 0; g < num_groups; ++g) {
       const Word* base = QuadWordPtr(column, g, q, s, 0);
       Word256 any_eq = Word256::Zero();
@@ -139,14 +141,24 @@ void ScanHbpRange(const HbpColumn& column, CompareOp op, std::uint64_t c1,
           any_eq = any_eq | b[t].eq;
         }
       }
-      if (any_eq.IsZero() && g + 1 < num_groups) break;
+      ++groups;
+      if (any_eq.IsZero() && g + 1 < num_groups) {
+        early_stopped += live;
+        break;
+      }
     }
+    processed += live;
+    words += live * static_cast<std::uint64_t>(groups * s);
     Word256 filter = Word256::Zero();
     for (int t = 0; t < s; ++t) {
       filter = filter | ResultWord(op, md, a[t], b[t]).Shr64(t);
     }
     (filter & full_valid).Store(f_words + q * 4);
   }
+  MergeScanStats({.words_examined = words,
+                  .segments_processed = processed,
+                  .segments_early_stopped = early_stopped},
+                 stats);
   const std::size_t last = live_segments - 1;
   if (last >= quad_begin * 4 && last < quad_end * 4) {
     f_words[last] &= out->ValidMask(last);
@@ -196,7 +208,7 @@ void InitSubSlotExtremeHbp(const HbpColumn& column, bool is_min, Word* temp) {
 void SubSlotExtremeRangeHbp(const HbpColumn& column,
                             const FilterBitVector& filter,
                             std::size_t quad_begin, std::size_t quad_end,
-                            bool is_min, Word* temp) {
+                            bool is_min, Word* temp, AggStats* stats) {
   ICP_CHECK_EQ(column.lanes(), 4);
   const int s = column.field_width();
   const int num_groups = column.num_groups();
@@ -204,9 +216,12 @@ void SubSlotExtremeRangeHbp(const HbpColumn& column,
   for (int g = 0; g < num_groups; ++g) {
     bases[g] = QuadWordPtr(column, g, quad_begin, s, 0);
   }
+  AggStats local;
   kern::Ops().hbp_extreme_fold(bases, num_groups, s, column.tau(),
                                /*lanes=*/4, filter.words() + quad_begin * 4,
-                               quad_end - quad_begin, is_min, temp, nullptr);
+                               quad_end - quad_begin, is_min, temp,
+                               stats != nullptr ? &local : nullptr);
+  MergeAggStats(local, stats);
 }
 
 std::uint64_t ExtremeOfSubSlotsHbp(const HbpColumn& column, const Word* temp,
@@ -228,13 +243,14 @@ namespace {
 std::optional<std::uint64_t> ExtremeHbp(const HbpColumn& column,
                                         const FilterBitVector& filter,
                                         bool is_min,
-                                        const CancelContext* cancel) {
+                                        const CancelContext* cancel,
+                                        AggStats* stats) {
   if (filter.CountOnes() == 0) return std::nullopt;
   Word temp[kWordBits * 4];
   InitSubSlotExtremeHbp(column, is_min, temp);
   if (!ForEachCancellableBatch(
           cancel, 0, NumQuads(column), [&](std::size_t b, std::size_t e) {
-            SubSlotExtremeRangeHbp(column, filter, b, e, is_min, temp);
+            SubSlotExtremeRangeHbp(column, filter, b, e, is_min, temp, stats);
           })) {
     return std::nullopt;
   }
@@ -245,14 +261,16 @@ std::optional<std::uint64_t> ExtremeHbp(const HbpColumn& column,
 
 std::optional<std::uint64_t> MinHbp(const HbpColumn& column,
                                     const FilterBitVector& filter,
-                                    const CancelContext* cancel) {
-  return ExtremeHbp(column, filter, /*is_min=*/true, cancel);
+                                    const CancelContext* cancel,
+                                    AggStats* stats) {
+  return ExtremeHbp(column, filter, /*is_min=*/true, cancel, stats);
 }
 
 std::optional<std::uint64_t> MaxHbp(const HbpColumn& column,
                                     const FilterBitVector& filter,
-                                    const CancelContext* cancel) {
-  return ExtremeHbp(column, filter, /*is_min=*/false, cancel);
+                                    const CancelContext* cancel,
+                                    AggStats* stats) {
+  return ExtremeHbp(column, filter, /*is_min=*/false, cancel, stats);
 }
 
 std::optional<std::uint64_t> RankSelectHbp(const HbpColumn& column,
@@ -353,21 +371,23 @@ AggregateResult AggregateHbp(const HbpColumn& column,
     case AggKind::kSum:
     case AggKind::kAvg:
       result.sum = SumHbp(column, filter, cancel);
+      CountFilterSegments(filter, stats);
       break;
     case AggKind::kMin:
-      result.value = MinHbp(column, filter, cancel);
+      result.value = MinHbp(column, filter, cancel, stats);
       break;
     case AggKind::kMax:
-      result.value = MaxHbp(column, filter, cancel);
+      result.value = MaxHbp(column, filter, cancel, stats);
       break;
     case AggKind::kMedian:
       result.value = MedianHbp(column, filter, cancel);
+      CountFilterSegments(filter, stats);
       break;
     case AggKind::kRank:
       result.value = RankSelectHbp(column, filter, rank, cancel);
+      CountFilterSegments(filter, stats);
       break;
   }
-  if (kind != AggKind::kCount) CountFilterSegments(filter, stats);
   return result;
 }
 

@@ -39,17 +39,22 @@ inline Word256 FieldGe256(Word256 x, Word256 c, Word256 md) {
 }
 
 /// Bit-parallel scan; requires column.lanes() == 4. `stats`, when
-/// non-null, receives the analytic model of RecordModeledScan (the SIMD
-/// kernel is uninstrumented inside). The optional CancelContext is
-/// polled every kCancelBatchSegments segments, as VbpScanner::Scan does;
-/// a stopped scan's output is meaningless.
+/// non-null, receives the counted work (see ScanHbpRange) and advances
+/// the scan.* counters. The optional CancelContext is polled every
+/// kCancelBatchSegments segments, as VbpScanner::Scan does; a stopped
+/// scan's output is meaningless.
 [[nodiscard]] FilterBitVector ScanHbp(const HbpColumn& column, CompareOp op,
                                       std::uint64_t c1, std::uint64_t c2 = 0,
                                       ScanStats* stats = nullptr,
                                       const CancelContext* cancel = nullptr);
+/// Scans quads [quad_begin, quad_end) into `out`. `stats`, when non-null,
+/// receives (and the scan.* counters advance by) the live segments
+/// processed, the live segments of quads that early-stopped before the
+/// last bit-group, and the sub-segment words loaded for live segments.
 void ScanHbpRange(const HbpColumn& column, CompareOp op, std::uint64_t c1,
                   std::uint64_t c2, std::size_t quad_begin,
-                  std::size_t quad_end, FilterBitVector* out);
+                  std::size_t quad_end, FilterBitVector* out,
+                  ScanStats* stats = nullptr);
 
 /// SUM: vectorized GET-VALUE-FILTER + IN-WORD-SUM per lane.
 void AccumulateGroupSumsHbp(const HbpColumn& column,
@@ -64,18 +69,21 @@ void AccumulateGroupSumsHbp(const HbpColumn& column,
 /// group — group g's lane words at temp[g*4 .. g*4+3] (the layout
 /// kern::hbp_extreme_fold consumes; no alignment requirement).
 void InitSubSlotExtremeHbp(const HbpColumn& column, bool is_min, Word* temp);
+/// `stats`, when non-null, receives (and the agg.* counters advance by)
+/// the fold kernel's counters.
 void SubSlotExtremeRangeHbp(const HbpColumn& column,
                             const FilterBitVector& filter,
                             std::size_t quad_begin, std::size_t quad_end,
-                            bool is_min, Word* temp);
+                            bool is_min, Word* temp,
+                            AggStats* stats = nullptr);
 std::uint64_t ExtremeOfSubSlotsHbp(const HbpColumn& column, const Word* temp,
                                    bool is_min);
 [[nodiscard]] std::optional<std::uint64_t> MinHbp(
     const HbpColumn& column, const FilterBitVector& filter,
-    const CancelContext* cancel = nullptr);
+    const CancelContext* cancel = nullptr, AggStats* stats = nullptr);
 [[nodiscard]] std::optional<std::uint64_t> MaxHbp(
     const HbpColumn& column, const FilterBitVector& filter,
-    const CancelContext* cancel = nullptr);
+    const CancelContext* cancel = nullptr, AggStats* stats = nullptr);
 
 /// MEDIAN / r-selection: vectorized candidate narrowing; histogram slot
 /// extraction stays scalar per lane (gather-style work, as in Alg. 6).
@@ -87,8 +95,8 @@ std::uint64_t ExtremeOfSubSlotsHbp(const HbpColumn& column, const Word* temp,
     const CancelContext* cancel = nullptr);
 
 /// Dispatcher mirroring hbp::Aggregate. `stats`, when non-null, carries
-/// the CountFilterSegments liveness summary for every kind (the SIMD fold
-/// kernels report no per-fold counters).
+/// the fold counters for MIN/MAX and the CountFilterSegments liveness
+/// summary for SUM/AVG/MEDIAN/RANK.
 AggregateResult AggregateHbp(const HbpColumn& column,
                              const FilterBitVector& filter, AggKind kind,
                              std::uint64_t rank = 0,

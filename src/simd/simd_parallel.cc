@@ -25,14 +25,14 @@ FilterBitVector ScanVbp(ParallelExecutor& ex, const VbpColumn& column,
                         CompareOp op, std::uint64_t c1, std::uint64_t c2,
                         const CancelContext* cancel, ScanStats* stats) {
   FilterBitVector out(column.num_values(), VbpColumn::kValuesPerSegment);
+  ICP_CHECK_LE(ex.max_slots(), kMaxThreads);
+  ScanStats locals[kMaxThreads];
   ex.ParallelFor(NumQuads(column), cancel,
-                 [&](int, std::size_t b, std::size_t e) {
-                   ScanVbpRange(column, op, c1, c2, b, e, &out);
+                 [&](int slot, std::size_t b, std::size_t e) {
+                   ScanVbpRange(column, op, c1, c2, b, e, &out,
+                                stats != nullptr ? &locals[slot] : nullptr);
                  });
-  RecordModeledScan(column.num_segments(),
-                    column.num_segments() *
-                        static_cast<std::uint64_t>(column.bit_width()),
-                    stats);
+  AddSlotScanStats(locals, ex.max_slots(), stats);
   return out;
 }
 
@@ -40,15 +40,14 @@ FilterBitVector ScanHbp(ParallelExecutor& ex, const HbpColumn& column,
                         CompareOp op, std::uint64_t c1, std::uint64_t c2,
                         const CancelContext* cancel, ScanStats* stats) {
   FilterBitVector out(column.num_values(), column.values_per_segment());
+  ICP_CHECK_LE(ex.max_slots(), kMaxThreads);
+  ScanStats locals[kMaxThreads];
   ex.ParallelFor(NumQuads(column), cancel,
-                 [&](int, std::size_t b, std::size_t e) {
-                   ScanHbpRange(column, op, c1, c2, b, e, &out);
+                 [&](int slot, std::size_t b, std::size_t e) {
+                   ScanHbpRange(column, op, c1, c2, b, e, &out,
+                                stats != nullptr ? &locals[slot] : nullptr);
                  });
-  RecordModeledScan(column.num_segments(),
-                    column.num_segments() *
-                        static_cast<std::uint64_t>(column.num_groups()) *
-                        static_cast<std::uint64_t>(column.field_width()),
-                    stats);
+  AddSlotScanStats(locals, ex.max_slots(), stats);
   return out;
 }
 
@@ -99,7 +98,8 @@ std::optional<std::uint64_t> ExtremeVbpMt(ParallelExecutor& ex,
                                           const VbpColumn& column,
                                           const FilterBitVector& filter,
                                           bool is_min,
-                                          const CancelContext* cancel) {
+                                          const CancelContext* cancel,
+                                          AggStats* stats) {
   if (par::Count(ex, filter) == 0) return std::nullopt;
   const int k = column.bit_width();
   const int slots = ex.max_slots();
@@ -109,11 +109,16 @@ std::optional<std::uint64_t> ExtremeVbpMt(ParallelExecutor& ex,
   for (int i = 0; i < slots; ++i) {
     InitSlotExtremeVbp(k, is_min, temps.data() + i * kSlotTempWords);
   }
+  ICP_CHECK_LE(slots, kMaxThreads);
+  AggStats locals[kMaxThreads];
   ex.ParallelFor(NumQuads(column), cancel,
                  [&](int slot, std::size_t b, std::size_t e) {
-                   SlotExtremeRangeVbp(column, filter, b, e, is_min,
-                                       temps.data() + slot * kSlotTempWords);
+                   SlotExtremeRangeVbp(
+                       column, filter, b, e, is_min,
+                       temps.data() + slot * kSlotTempWords,
+                       stats != nullptr ? &locals[slot] : nullptr);
                  });
+  AddSlotAggStats(locals, slots, stats);
   if (cancel != nullptr && cancel->ShouldStop()) return std::nullopt;
   std::uint64_t best = 0;
   for (int i = 0; i < slots; ++i) {
@@ -128,7 +133,8 @@ std::optional<std::uint64_t> ExtremeHbpMt(ParallelExecutor& ex,
                                           const HbpColumn& column,
                                           const FilterBitVector& filter,
                                           bool is_min,
-                                          const CancelContext* cancel) {
+                                          const CancelContext* cancel,
+                                          AggStats* stats) {
   if (par::Count(ex, filter) == 0) return std::nullopt;
   const int slots = ex.max_slots();
   const std::size_t words = static_cast<std::size_t>(slots) * kSlotTempWords;
@@ -137,12 +143,16 @@ std::optional<std::uint64_t> ExtremeHbpMt(ParallelExecutor& ex,
   for (int i = 0; i < slots; ++i) {
     InitSubSlotExtremeHbp(column, is_min, temps.data() + i * kSlotTempWords);
   }
+  ICP_CHECK_LE(slots, kMaxThreads);
+  AggStats locals[kMaxThreads];
   ex.ParallelFor(NumQuads(column), cancel,
                  [&](int slot, std::size_t b, std::size_t e) {
                    SubSlotExtremeRangeHbp(
                        column, filter, b, e, is_min,
-                       temps.data() + slot * kSlotTempWords);
+                       temps.data() + slot * kSlotTempWords,
+                       stats != nullptr ? &locals[slot] : nullptr);
                  });
+  AddSlotAggStats(locals, slots, stats);
   if (cancel != nullptr && cancel->ShouldStop()) return std::nullopt;
   std::uint64_t best = 0;
   for (int i = 0; i < slots; ++i) {
@@ -158,26 +168,30 @@ std::optional<std::uint64_t> ExtremeHbpMt(ParallelExecutor& ex,
 std::optional<std::uint64_t> MinVbp(ParallelExecutor& ex,
                                     const VbpColumn& column,
                                     const FilterBitVector& filter,
-                                    const CancelContext* cancel) {
-  return ExtremeVbpMt(ex, column, filter, /*is_min=*/true, cancel);
+                                    const CancelContext* cancel,
+                                    AggStats* stats) {
+  return ExtremeVbpMt(ex, column, filter, /*is_min=*/true, cancel, stats);
 }
 std::optional<std::uint64_t> MaxVbp(ParallelExecutor& ex,
                                     const VbpColumn& column,
                                     const FilterBitVector& filter,
-                                    const CancelContext* cancel) {
-  return ExtremeVbpMt(ex, column, filter, /*is_min=*/false, cancel);
+                                    const CancelContext* cancel,
+                                    AggStats* stats) {
+  return ExtremeVbpMt(ex, column, filter, /*is_min=*/false, cancel, stats);
 }
 std::optional<std::uint64_t> MinHbp(ParallelExecutor& ex,
                                     const HbpColumn& column,
                                     const FilterBitVector& filter,
-                                    const CancelContext* cancel) {
-  return ExtremeHbpMt(ex, column, filter, /*is_min=*/true, cancel);
+                                    const CancelContext* cancel,
+                                    AggStats* stats) {
+  return ExtremeHbpMt(ex, column, filter, /*is_min=*/true, cancel, stats);
 }
 std::optional<std::uint64_t> MaxHbp(ParallelExecutor& ex,
                                     const HbpColumn& column,
                                     const FilterBitVector& filter,
-                                    const CancelContext* cancel) {
-  return ExtremeHbpMt(ex, column, filter, /*is_min=*/false, cancel);
+                                    const CancelContext* cancel,
+                                    AggStats* stats) {
+  return ExtremeHbpMt(ex, column, filter, /*is_min=*/false, cancel, stats);
 }
 
 std::optional<std::uint64_t> RankSelectVbp(ParallelExecutor& ex,
@@ -356,21 +370,23 @@ AggregateResult AggregateVbp(ParallelExecutor& ex, const VbpColumn& column,
     case AggKind::kSum:
     case AggKind::kAvg:
       result.sum = SumVbp(ex, column, filter, cancel);
+      CountFilterSegments(filter, stats);
       break;
     case AggKind::kMin:
-      result.value = MinVbp(ex, column, filter, cancel);
+      result.value = MinVbp(ex, column, filter, cancel, stats);
       break;
     case AggKind::kMax:
-      result.value = MaxVbp(ex, column, filter, cancel);
+      result.value = MaxVbp(ex, column, filter, cancel, stats);
       break;
     case AggKind::kMedian:
       result.value = MedianVbp(ex, column, filter, cancel);
+      CountFilterSegments(filter, stats);
       break;
     case AggKind::kRank:
       result.value = RankSelectVbp(ex, column, filter, rank, cancel);
+      CountFilterSegments(filter, stats);
       break;
   }
-  if (kind != AggKind::kCount) CountFilterSegments(filter, stats);
   return result;
 }
 
@@ -388,21 +404,23 @@ AggregateResult AggregateHbp(ParallelExecutor& ex, const HbpColumn& column,
     case AggKind::kSum:
     case AggKind::kAvg:
       result.sum = SumHbp(ex, column, filter, cancel);
+      CountFilterSegments(filter, stats);
       break;
     case AggKind::kMin:
-      result.value = MinHbp(ex, column, filter, cancel);
+      result.value = MinHbp(ex, column, filter, cancel, stats);
       break;
     case AggKind::kMax:
-      result.value = MaxHbp(ex, column, filter, cancel);
+      result.value = MaxHbp(ex, column, filter, cancel, stats);
       break;
     case AggKind::kMedian:
       result.value = MedianHbp(ex, column, filter, cancel);
+      CountFilterSegments(filter, stats);
       break;
     case AggKind::kRank:
       result.value = RankSelectHbp(ex, column, filter, rank, cancel);
+      CountFilterSegments(filter, stats);
       break;
   }
-  if (kind != AggKind::kCount) CountFilterSegments(filter, stats);
   return result;
 }
 

@@ -24,9 +24,9 @@
 
 namespace icp::simd {
 
-/// `stats`, when non-null, receives the analytic RecordModeledScan model
-/// (once, on the calling thread — not per worker). The executor polls
-/// `cancel` once per morsel; a stopped scan's output is meaningless.
+/// `stats`, when non-null, receives the work the slots counted (summed
+/// on the calling thread after the region). The executor polls `cancel`
+/// once per morsel; a stopped scan's output is meaningless.
 FilterBitVector ScanVbp(ParallelExecutor& ex, const VbpColumn& column,
                         CompareOp op, std::uint64_t c1, std::uint64_t c2 = 0,
                         const CancelContext* cancel = nullptr,
@@ -46,19 +46,23 @@ UInt128 SumHbp(ParallelExecutor& ex, const HbpColumn& column,
 std::optional<std::uint64_t> MinVbp(ParallelExecutor& ex,
                                     const VbpColumn& column,
                                     const FilterBitVector& filter,
-                                    const CancelContext* cancel = nullptr);
+                                    const CancelContext* cancel = nullptr,
+                                    AggStats* stats = nullptr);
 std::optional<std::uint64_t> MaxVbp(ParallelExecutor& ex,
                                     const VbpColumn& column,
                                     const FilterBitVector& filter,
-                                    const CancelContext* cancel = nullptr);
+                                    const CancelContext* cancel = nullptr,
+                                    AggStats* stats = nullptr);
 std::optional<std::uint64_t> MinHbp(ParallelExecutor& ex,
                                     const HbpColumn& column,
                                     const FilterBitVector& filter,
-                                    const CancelContext* cancel = nullptr);
+                                    const CancelContext* cancel = nullptr,
+                                    AggStats* stats = nullptr);
 std::optional<std::uint64_t> MaxHbp(ParallelExecutor& ex,
                                     const HbpColumn& column,
                                     const FilterBitVector& filter,
-                                    const CancelContext* cancel = nullptr);
+                                    const CancelContext* cancel = nullptr,
+                                    AggStats* stats = nullptr);
 
 std::optional<std::uint64_t> RankSelectVbp(ParallelExecutor& ex,
                                            const VbpColumn& column,
@@ -81,8 +85,8 @@ std::optional<std::uint64_t> MedianHbp(ParallelExecutor& ex,
                                        const FilterBitVector& filter,
                                        const CancelContext* cancel = nullptr);
 
-/// `stats`, when non-null, carries the CountFilterSegments liveness
-/// summary (the SIMD fold kernels report no per-fold counters).
+/// `stats`, when non-null, carries the fold counters for MIN/MAX and the
+/// CountFilterSegments liveness summary for SUM/AVG/MEDIAN/RANK.
 AggregateResult AggregateVbp(ParallelExecutor& ex, const VbpColumn& column,
                              const FilterBitVector& filter, AggKind kind,
                              std::uint64_t rank = 0,

@@ -64,19 +64,15 @@ FilterBitVector ScanVbp(const VbpColumn& column, CompareOp op,
   ForEachCancellableBatch(cancel, 0, column.num_segments(),
                           [&](std::size_t b, std::size_t e) {
                             ScanVbpRange(column, op, c1, c2, b / 4, e / 4,
-                                        &out);
+                                         &out, stats);
                           });
-  // Model: k bit-plane words per segment, no early-stop attribution.
-  RecordModeledScan(column.num_segments(),
-                    column.num_segments() *
-                        static_cast<std::uint64_t>(column.bit_width()),
-                    stats);
   return out;
 }
 
 void ScanVbpRange(const VbpColumn& column, CompareOp op, std::uint64_t c1,
                   std::uint64_t c2, std::size_t quad_begin,
-                  std::size_t quad_end, FilterBitVector* out) {
+                  std::size_t quad_end, FilterBitVector* out,
+                  ScanStats* stats) {
   ICP_CHECK_EQ(column.lanes(), 4);
   ICP_CHECK_EQ(out->values_per_segment(), VbpColumn::kValuesPerSegment);
   const int k = column.bit_width();
@@ -104,10 +100,17 @@ void ScanVbpRange(const VbpColumn& column, CompareOp op, std::uint64_t c1,
     c2_bits[j] = (c2 >> (k - 1 - j)) & 1;
   }
 
+  // Work counted per quad for its live segments only (the final quad may
+  // carry up to three padding segments).
+  std::uint64_t processed = 0;
+  std::uint64_t early_stopped = 0;
+  std::uint64_t words = 0;
   Word* f_words = out->words();
   for (std::size_t q = quad_begin; q < quad_end; ++q) {
+    const std::uint64_t live = std::min<std::size_t>(4, live_segments - q * 4);
     CompareState256 a;
     CompareState256 b;
+    int planes = 0;
     for (int g = 0; g < num_groups; ++g) {
       const int width = column.GroupWidth(g);
       const Word* base = QuadWordPtr(column, g, q, width, 0);
@@ -116,14 +119,22 @@ void ScanVbpRange(const VbpColumn& column, CompareOp op, std::uint64_t c1,
         a.Step(x, c1_bits[g * tau + j]);
         if (dual) b.Step(x, c2_bits[g * tau + j]);
       }
+      planes += width;
       if ((a.eq | (dual ? b.eq : Word256::Zero())).IsZero() &&
           g + 1 < num_groups) {
+        early_stopped += live;
         break;
       }
     }
+    processed += live;
+    words += live * static_cast<std::uint64_t>(planes);
     // Stores past the live segment count land in WordBuffer's zero padding.
     ResultWord(op, a, b).Store(f_words + q * 4);
   }
+  MergeScanStats({.words_examined = words,
+                  .segments_processed = processed,
+                  .segments_early_stopped = early_stopped},
+                 stats);
   // Re-mask the ragged tail segment (the store above may have set its
   // padding bits from the zero-packed padding values), and clear the
   // padding-segment words beyond the live range — SIMD aggregate kernels
@@ -174,7 +185,7 @@ void InitSlotExtremeVbp(int k, bool is_min, Word* temp) {
 void SlotExtremeRangeVbp(const VbpColumn& column,
                          const FilterBitVector& filter,
                          std::size_t quad_begin, std::size_t quad_end,
-                         bool is_min, Word* temp) {
+                         bool is_min, Word* temp, AggStats* stats) {
   ICP_CHECK_EQ(column.lanes(), 4);
   const int num_groups = column.num_groups();
   const Word* bases[kWordBits];
@@ -183,9 +194,12 @@ void SlotExtremeRangeVbp(const VbpColumn& column,
     widths[g] = column.GroupWidth(g);
     bases[g] = QuadWordPtr(column, g, quad_begin, widths[g], 0);
   }
+  AggStats local;
   kern::Ops().vbp_extreme_fold(bases, widths, num_groups, column.tau(),
                                /*lanes=*/4, filter.words() + quad_begin * 4,
-                               quad_end - quad_begin, is_min, temp, nullptr);
+                               quad_end - quad_begin, is_min, temp,
+                               stats != nullptr ? &local : nullptr);
+  MergeAggStats(local, stats);
 }
 
 std::uint64_t ExtremeOfSlotsVbp(const Word* temp, int k, bool is_min) {
@@ -204,14 +218,15 @@ namespace {
 std::optional<std::uint64_t> ExtremeVbp(const VbpColumn& column,
                                         const FilterBitVector& filter,
                                         bool is_min,
-                                        const CancelContext* cancel) {
+                                        const CancelContext* cancel,
+                                        AggStats* stats) {
   if (filter.CountOnes() == 0) return std::nullopt;
   const int k = column.bit_width();
   Word temp[kWordBits * 4];
   InitSlotExtremeVbp(k, is_min, temp);
   if (!ForEachCancellableBatch(
           cancel, 0, NumQuads(column), [&](std::size_t b, std::size_t e) {
-            SlotExtremeRangeVbp(column, filter, b, e, is_min, temp);
+            SlotExtremeRangeVbp(column, filter, b, e, is_min, temp, stats);
           })) {
     return std::nullopt;
   }
@@ -222,14 +237,16 @@ std::optional<std::uint64_t> ExtremeVbp(const VbpColumn& column,
 
 std::optional<std::uint64_t> MinVbp(const VbpColumn& column,
                                     const FilterBitVector& filter,
-                                    const CancelContext* cancel) {
-  return ExtremeVbp(column, filter, /*is_min=*/true, cancel);
+                                    const CancelContext* cancel,
+                                    AggStats* stats) {
+  return ExtremeVbp(column, filter, /*is_min=*/true, cancel, stats);
 }
 
 std::optional<std::uint64_t> MaxVbp(const VbpColumn& column,
                                     const FilterBitVector& filter,
-                                    const CancelContext* cancel) {
-  return ExtremeVbp(column, filter, /*is_min=*/false, cancel);
+                                    const CancelContext* cancel,
+                                    AggStats* stats) {
+  return ExtremeVbp(column, filter, /*is_min=*/false, cancel, stats);
 }
 
 std::optional<std::uint64_t> RankSelectVbp(const VbpColumn& column,
@@ -306,21 +323,23 @@ AggregateResult AggregateVbp(const VbpColumn& column,
     case AggKind::kSum:
     case AggKind::kAvg:
       result.sum = SumVbp(column, filter, cancel);
+      CountFilterSegments(filter, stats);
       break;
     case AggKind::kMin:
-      result.value = MinVbp(column, filter, cancel);
+      result.value = MinVbp(column, filter, cancel, stats);
       break;
     case AggKind::kMax:
-      result.value = MaxVbp(column, filter, cancel);
+      result.value = MaxVbp(column, filter, cancel, stats);
       break;
     case AggKind::kMedian:
       result.value = MedianVbp(column, filter, cancel);
+      CountFilterSegments(filter, stats);
       break;
     case AggKind::kRank:
       result.value = RankSelectVbp(column, filter, rank, cancel);
+      CountFilterSegments(filter, stats);
       break;
   }
-  if (kind != AggKind::kCount) CountFilterSegments(filter, stats);
   return result;
 }
 

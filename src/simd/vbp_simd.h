@@ -32,17 +32,22 @@ inline std::size_t NumQuads(const VbpColumn& column) {
 }
 
 /// Bit-parallel scan; requires column.lanes() == 4. `stats`, when
-/// non-null, receives the analytic model of RecordModeledScan (the SIMD
-/// kernel is uninstrumented inside). The optional CancelContext is
-/// polled every kCancelBatchSegments segments, as VbpScanner::Scan does;
-/// a stopped scan's output is meaningless.
+/// non-null, receives the counted work (see ScanVbpRange) and advances
+/// the scan.* counters. The optional CancelContext is polled every
+/// kCancelBatchSegments segments, as VbpScanner::Scan does; a stopped
+/// scan's output is meaningless.
 [[nodiscard]] FilterBitVector ScanVbp(const VbpColumn& column, CompareOp op,
                                       std::uint64_t c1, std::uint64_t c2 = 0,
                                       ScanStats* stats = nullptr,
                                       const CancelContext* cancel = nullptr);
+/// Scans quads [quad_begin, quad_end) into `out`. `stats`, when non-null,
+/// receives (and the scan.* counters advance by) the live segments
+/// processed, the live segments of quads that early-stopped before the
+/// last bit-group, and the plane words loaded for live segments.
 void ScanVbpRange(const VbpColumn& column, CompareOp op, std::uint64_t c1,
                   std::uint64_t c2, std::size_t quad_begin,
-                  std::size_t quad_end, FilterBitVector* out);
+                  std::size_t quad_end, FilterBitVector* out,
+                  ScanStats* stats = nullptr);
 
 /// SUM: per-bit popcount accumulation on 256-bit words.
 void AccumulateBitSumsVbp(const VbpColumn& column,
@@ -57,18 +62,20 @@ void AccumulateBitSumsVbp(const VbpColumn& column,
 /// lane words at temp[j*4 .. j*4+3] (the layout kern::vbp_extreme_fold
 /// consumes; no alignment requirement).
 void InitSlotExtremeVbp(int k, bool is_min, Word* temp);
+/// `stats`, when non-null, receives (and the agg.* counters advance by)
+/// the fold kernel's per-quad counters.
 void SlotExtremeRangeVbp(const VbpColumn& column,
                          const FilterBitVector& filter,
                          std::size_t quad_begin, std::size_t quad_end,
-                         bool is_min, Word* temp);
+                         bool is_min, Word* temp, AggStats* stats = nullptr);
 /// Collapses a 256-slot state to the extreme value.
 std::uint64_t ExtremeOfSlotsVbp(const Word* temp, int k, bool is_min);
 [[nodiscard]] std::optional<std::uint64_t> MinVbp(
     const VbpColumn& column, const FilterBitVector& filter,
-    const CancelContext* cancel = nullptr);
+    const CancelContext* cancel = nullptr, AggStats* stats = nullptr);
 [[nodiscard]] std::optional<std::uint64_t> MaxVbp(
     const VbpColumn& column, const FilterBitVector& filter,
-    const CancelContext* cancel = nullptr);
+    const CancelContext* cancel = nullptr, AggStats* stats = nullptr);
 
 /// MEDIAN / r-selection on 256-bit candidate vectors.
 [[nodiscard]] std::optional<std::uint64_t> RankSelectVbp(
@@ -79,8 +86,8 @@ std::uint64_t ExtremeOfSlotsVbp(const Word* temp, int k, bool is_min);
     const CancelContext* cancel = nullptr);
 
 /// Dispatcher mirroring vbp::Aggregate. `stats`, when non-null, carries
-/// the CountFilterSegments liveness summary for every kind (the SIMD fold
-/// kernels report no per-fold counters).
+/// the fold counters for MIN/MAX and the CountFilterSegments liveness
+/// summary for SUM/AVG/MEDIAN/RANK.
 AggregateResult AggregateVbp(const VbpColumn& column,
                              const FilterBitVector& filter, AggKind kind,
                              std::uint64_t rank = 0,

@@ -100,10 +100,12 @@ TEST(ConcurrencyTest, ParallelAggregatorsOnSharedColumns) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-// Regression: the lazy lanes=4 packings were built behind an
-// unsynchronized `mutable bool`, so two simd=true engines racing on a
-// fresh Table both packed (a data race TSan reports). Both threads now
-// see one packing and the right answers; the TSan job runs this test.
+// Regression: the lanes=4 packings used to be built lazily, first behind
+// an unsynchronized `mutable bool` (two simd=true engines racing on a
+// fresh Table both packed — a data race TSan reports), then behind a
+// once_flag. Now AddColumn packs each column once, eagerly, in the lanes=4
+// form, so a query only reads: the alias is the packing, and a query
+// leaves the column's memory unchanged. The TSan job runs this test.
 TEST(ConcurrencyTest, SimdEnginesPackOneFreshTableOnce) {
   Random rng(9191);
   const std::size_t n = 40000;
@@ -115,6 +117,14 @@ TEST(ConcurrencyTest, SimdEnginesPackOneFreshTableOnce) {
   Table table;
   ASSERT_TRUE(table.AddColumn("a", a, {.layout = Layout::kVbp}).ok());
   ASSERT_TRUE(table.AddColumn("b", b, {.layout = Layout::kHbp}).ok());
+  const Table::Column& col_a = **table.GetColumn("a");
+  const Table::Column& col_b = **table.GetColumn("b");
+  EXPECT_EQ(&col_a.vbp_simd(), &col_a.vbp());
+  EXPECT_EQ(&col_b.hbp_simd(), &col_b.hbp());
+  EXPECT_EQ(col_a.vbp().lanes(), 4);
+  EXPECT_EQ(col_b.hbp().lanes(), 4);
+  const std::size_t bytes_a = col_a.MemoryBytes();
+  const std::size_t bytes_b = col_b.MemoryBytes();
   Query q;
   q.agg = AggKind::kMax;
   q.agg_column = "a";
@@ -128,7 +138,7 @@ TEST(ConcurrencyTest, SimdEnginesPackOneFreshTableOnce) {
   for (const int engine_threads : {1, 2}) {
     threads.emplace_back([&, engine_threads] {
       Engine engine(ExecOptions{.threads = engine_threads, .simd = true});
-      // Start gate, so both first vbp_simd() calls overlap.
+      // Start gate, so both first queries overlap.
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       auto r = engine.Execute(table, q);
       if (!r.ok() || r->decoded_value != expected->decoded_value) {
@@ -139,6 +149,8 @@ TEST(ConcurrencyTest, SimdEnginesPackOneFreshTableOnce) {
   go.store(true, std::memory_order_release);
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(col_a.MemoryBytes(), bytes_a);
+  EXPECT_EQ(col_b.MemoryBytes(), bytes_b);
 }
 
 }  // namespace

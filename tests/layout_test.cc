@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -116,6 +117,119 @@ TEST(VbpColumnTest, LaneInterleavedWordsMatchScalarWords) {
     }
   }
 }
+
+// Per-bit reference packers: every word of the packed column, padding
+// included, must equal what setting one bit per (value, plane) gives. The
+// packers transpose whole segments in registers; these spell out the
+// layout contract of vbp_column.h / hbp_column.h independently.
+std::vector<std::vector<Word>> ReferenceVbpWords(
+    const std::vector<std::uint64_t>& codes, int k, int tau, int lanes) {
+  if (tau == 0) tau = DefaultVbpTau(k);
+  tau = std::min(tau, k);
+  const int num_groups = (k + tau - 1) / tau;
+  const std::size_t segments =
+      (((codes.size() + 63) / 64 + lanes - 1) / lanes) * lanes;
+  std::vector<std::vector<Word>> groups(num_groups);
+  for (int g = 0; g < num_groups; ++g) {
+    const int width = std::min(tau, k - g * tau);
+    groups[g].assign(segments * width, 0);
+  }
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    const std::size_t seg = i / 64;
+    for (int j = 0; j < k; ++j) {
+      if (((codes[i] >> (k - 1 - j)) & 1) == 0) continue;
+      const int g = j / tau;
+      const int width = std::min(tau, k - g * tau);
+      const std::size_t index =
+          ((seg / lanes) * width + (j - g * tau)) * lanes + seg % lanes;
+      groups[g][index] |= Word{1} << (63 - i % 64);
+    }
+  }
+  return groups;
+}
+
+std::vector<std::vector<Word>> ReferenceHbpWords(
+    const std::vector<std::uint64_t>& codes, int k, int tau, int lanes) {
+  if (tau == 0) tau = DefaultHbpTau(k);
+  const int num_groups = (k + tau - 1) / tau;
+  const int s = tau + 1;
+  const int vps = s * (64 / s);
+  const std::size_t segments =
+      (((codes.size() + vps - 1) / vps + lanes - 1) / lanes) * lanes;
+  std::vector<std::vector<Word>> groups(num_groups,
+                                        std::vector<Word>(segments * s, 0));
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    const std::size_t seg = i / vps;
+    const int r = static_cast<int>(i % vps);
+    const int t = r % s;
+    const int f = r / s;
+    const std::size_t index = ((seg / lanes) * s + t) * lanes + seg % lanes;
+    for (int g = 0; g < num_groups; ++g) {
+      const int shift = (num_groups - 1 - g) * tau;
+      const Word field = (codes[i] >> shift) & LowMask(tau);
+      groups[g][index] |= field << (64 - (f + 1) * s);
+    }
+  }
+  return groups;
+}
+
+// k x tau (0 = layout default) x lanes; every case packs each size in
+// kPackSizes (ragged, exact and just-past segment and quad boundaries).
+class PackReferenceTest
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+constexpr std::size_t kPackSizes[] = {1, 63, 64, 65, 255, 257, 4097};
+
+int TauParam(int tau, int k) { return tau == -1 ? k : tau; }
+
+TEST_P(PackReferenceTest, VbpPackMatchesPerBitReference) {
+  const auto [k, tau_param, lanes] = GetParam();
+  const int tau = TauParam(tau_param, k);
+  for (const std::size_t n : kPackSizes) {
+    const auto codes = RandomCodes(n, k, 1000 + n * 64 + k);
+    const VbpColumn col =
+        VbpColumn::Pack(codes, k, {.tau = tau, .lanes = lanes});
+    const auto expected = ReferenceVbpWords(codes, k, tau, lanes);
+    ASSERT_EQ(col.num_groups(), static_cast<int>(expected.size()))
+        << "n=" << n;
+    for (int g = 0; g < col.num_groups(); ++g) {
+      ASSERT_EQ(col.GroupWordCount(g), expected[g].size())
+          << "n=" << n << " g=" << g;
+      for (std::size_t w = 0; w < expected[g].size(); ++w) {
+        ASSERT_EQ(col.GroupData(g)[w], expected[g][w])
+            << "n=" << n << " g=" << g << " word=" << w;
+      }
+    }
+  }
+}
+
+TEST_P(PackReferenceTest, HbpPackMatchesPerFieldReference) {
+  const auto [k, tau_param, lanes] = GetParam();
+  const int tau = TauParam(tau_param, k);
+  for (const std::size_t n : kPackSizes) {
+    const auto codes = RandomCodes(n, k, 2000 + n * 64 + k);
+    const HbpColumn col =
+        HbpColumn::Pack(codes, k, {.tau = tau, .lanes = lanes});
+    const auto expected = ReferenceHbpWords(codes, k, tau, lanes);
+    ASSERT_EQ(col.num_groups(), static_cast<int>(expected.size()))
+        << "n=" << n;
+    for (int g = 0; g < col.num_groups(); ++g) {
+      ASSERT_EQ(col.GroupWordCount(g), expected[g].size())
+          << "n=" << n << " g=" << g;
+      for (std::size_t w = 0; w < expected[g].size(); ++w) {
+        ASSERT_EQ(col.GroupData(g)[w], expected[g][w])
+            << "n=" << n << " g=" << g << " word=" << w;
+      }
+    }
+  }
+}
+
+// tau -1 stands for tau = k (one bit-group spanning the whole code).
+INSTANTIATE_TEST_SUITE_P(
+    Grid, PackReferenceTest,
+    ::testing::Combine(::testing::Values(1, 2, 7, 31, 32, 33, 63),
+                       ::testing::Values(0, 1, 3, -1),
+                       ::testing::Values(1, 4)));
 
 TEST(VbpColumnTest, MemoryBytesMatchesKBitsPerValue) {
   const auto codes = RandomCodes(64 * 100, 10, 7);

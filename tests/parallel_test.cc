@@ -10,6 +10,7 @@
 #include "scan/hbp_scanner.h"
 #include "scan/vbp_scanner.h"
 #include "sched/morsel.h"
+#include "simd/simd_parallel.h"
 #include "test_session.h"
 #include "util/random.h"
 
@@ -50,7 +51,9 @@ TEST_P(ParallelAggTest, VbpMatchesSingleThread) {
   std::vector<std::uint64_t> codes(300000);
   for (auto& c : codes) c = rng.UniformInt(0, LowMask(k));
   const VbpColumn col = VbpColumn::Pack(codes, k);
-  const FilterBitVector f = par::Scan(ex, col, CompareOp::kLt, 90000);
+  // The session scan runs on the lanes=4 packing the engine uses.
+  const VbpColumn col4 = VbpColumn::Pack(codes, k, {.lanes = 4});
+  const FilterBitVector f = simd::ScanVbp(ex, col4, CompareOp::kLt, 90000);
   const FilterBitVector f_ref =
       VbpScanner::Scan(col, CompareOp::kLt, 90000);
   EXPECT_TRUE(f == f_ref);
@@ -74,7 +77,8 @@ TEST_P(ParallelAggTest, HbpMatchesSingleThread) {
   std::vector<std::uint64_t> codes(300000);
   for (auto& c : codes) c = rng.UniformInt(0, LowMask(k));
   const HbpColumn col = HbpColumn::Pack(codes, k);
-  const FilterBitVector f = par::Scan(ex, col, CompareOp::kGe, 2000);
+  const HbpColumn col4 = HbpColumn::Pack(codes, k, {.lanes = 4});
+  const FilterBitVector f = simd::ScanHbp(ex, col4, CompareOp::kGe, 2000);
   const FilterBitVector f_ref = HbpScanner::Scan(col, CompareOp::kGe, 2000);
   EXPECT_TRUE(f == f_ref);
 
@@ -116,6 +120,8 @@ TEST(ParallelAggTest, MoreThreadsThanSegments) {
   EXPECT_EQ(par::Median(ex, col, f), std::optional<std::uint64_t>(3));
 }
 
+// The session dispatcher the engine runs (lanes=4) against the serial
+// lanes=1 aggregate.
 TEST(ParallelAggTest, AggregateDispatcher) {
   TestSession session(4);
   sched::QuerySession& ex = session.ex();
@@ -123,9 +129,11 @@ TEST(ParallelAggTest, AggregateDispatcher) {
   std::vector<std::uint64_t> codes(3000);
   for (auto& c : codes) c = rng.UniformInt(0, 255);
   const HbpColumn col = HbpColumn::Pack(codes, 8);
+  const HbpColumn col4 = HbpColumn::Pack(codes, 8, {.lanes = 4});
   FilterBitVector f(codes.size(), col.values_per_segment());
   f.SetAll();
-  const AggregateResult r = par::Aggregate(ex, col, f, AggKind::kMedian);
+  const AggregateResult r =
+      simd::AggregateHbp(ex, col4, f, AggKind::kMedian);
   EXPECT_EQ(r.value, hbp::Median(col, f));
   EXPECT_EQ(r.count, codes.size());
 }

@@ -155,10 +155,12 @@ TEST(ScanAccountingTest, HbpScannerCountersInternallyConsistentPerTier) {
   kern::ForceTier(std::nullopt);
 }
 
-// The scan.* obs counters and QueryStats are filled from the same
-// ScanStats merge, so for a single query on an otherwise-idle process
-// their deltas must agree exactly — per tier, even though the absolute
-// numbers differ between tiers.
+// The scan.* and agg.* obs counters and QueryStats are filled from the
+// same counted work, so for a single query on an otherwise-idle process
+// their deltas must agree exactly — per tier (even though the absolute
+// numbers differ between tiers) and per thread count (the session drivers
+// count per slot and merge once). The lanes == 4 scans count live
+// segments only, so each leaf processes exactly the column's segments.
 TEST(ScanAccountingTest, ObsCountersMatchQueryStatsPerQuery) {
   if (obs::SnapshotCounters().empty()) {
     GTEST_SKIP() << "observability layer compiled out (ICP_OBS=0)";
@@ -175,39 +177,59 @@ TEST(ScanAccountingTest, ObsCountersMatchQueryStatsPerQuery) {
 
   for (const kern::Tier tier : CoveredTiers()) {
     kern::ForceTier(tier);
-    for (const char* column : {"v_vbp", "v_hbp"}) {
-      const std::string context = std::string("tier=") +
-                                  kern::TierName(tier) +
-                                  " column=" + column;
-      Query q;
-      q.agg = AggKind::kCount;
-      q.agg_column = column;
-      // Two ANDed compares: the second leaf takes the ScanAnd prior path.
-      std::vector<FilterExprPtr> leaves;
-      leaves.push_back(
-          FilterExpr::Compare(column, CompareOp::kGt, -1200, 0));
-      leaves.push_back(FilterExpr::Compare(column, CompareOp::kLt, 900, 0));
-      q.filter = FilterExpr::And(std::move(leaves));
+    for (const int threads : {1, 4}) {
+      for (const char* column : {"v_vbp", "v_hbp"}) {
+        const std::string context =
+            std::string("tier=") + kern::TierName(tier) +
+            " threads=" + std::to_string(threads) + " column=" + column;
+        const Table::Column& col = **table.GetColumn(column);
+        Query q;
+        q.agg = AggKind::kMin;
+        q.agg_column = column;
+        std::vector<FilterExprPtr> leaves;
+        leaves.push_back(
+            FilterExpr::Compare(column, CompareOp::kGt, -1200, 0));
+        leaves.push_back(
+            FilterExpr::Compare(column, CompareOp::kLt, 900, 0));
+        q.filter = FilterExpr::And(std::move(leaves));
 
-      obs::QueryStats qs;
-      Engine engine(ExecOptions{.threads = 1, .stats = &qs});
-      obs::ResetAllCounters();
-      auto result = engine.Execute(table, q);
-      ASSERT_TRUE(result.ok()) << context;
+        obs::QueryStats qs;
+        Engine engine(ExecOptions{.threads = threads, .stats = &qs});
+        obs::ResetAllCounters();
+        auto result = engine.Execute(table, q);
+        ASSERT_TRUE(result.ok()) << context;
 
-      EXPECT_EQ(obs::CounterValue("scan.words_examined"),
-                qs.words_scanned)
-          << context;
-      EXPECT_EQ(obs::CounterValue("scan.segments_processed"),
-                qs.segments_scanned)
-          << context;
-      EXPECT_EQ(obs::CounterValue("scan.segments_early_stopped"),
-                qs.segments_early_stopped)
-          << context;
-      // threads=1, simd=false: both scan leaves run instrumented kernels,
-      // so nothing falls back to the analytic model.
-      EXPECT_EQ(qs.scan_leaves_modeled, 0u) << context;
-      EXPECT_GT(qs.segments_scanned, 0u) << context;
+        EXPECT_EQ(obs::CounterValue("scan.words_examined"),
+                  qs.words_scanned)
+            << context;
+        EXPECT_EQ(obs::CounterValue("scan.segments_processed"),
+                  qs.segments_scanned)
+            << context;
+        EXPECT_EQ(obs::CounterValue("scan.segments_early_stopped"),
+                  qs.segments_early_stopped)
+            << context;
+        EXPECT_EQ(obs::CounterValue("agg.segments_folded"), qs.agg_folds)
+            << context;
+        EXPECT_EQ(obs::CounterValue("agg.segments_skipped"),
+                  qs.agg_segments_skipped)
+            << context;
+        EXPECT_EQ(obs::CounterValue("agg.compare_early_stops"),
+                  qs.agg_compare_early_stops)
+            << context;
+        EXPECT_EQ(obs::CounterValue("agg.blends_skipped"),
+                  qs.agg_blends_skipped)
+            << context;
+
+        // Two leaves, each over every live segment of the column.
+        const std::uint64_t live_segments =
+            (n + col.values_per_segment() - 1) / col.values_per_segment();
+        EXPECT_EQ(qs.segments_scanned, 2 * live_segments) << context;
+        EXPECT_LE(qs.segments_early_stopped, qs.segments_scanned)
+            << context;
+        EXPECT_GE(qs.words_scanned, qs.segments_scanned) << context;
+        EXPECT_GT(qs.agg_folds, 0u) << context;
+        EXPECT_EQ(qs.lanes, 4) << context;
+      }
     }
   }
   kern::ForceTier(std::nullopt);

@@ -16,10 +16,10 @@
 #include "core/vbp_aggregate.h"
 #include "engine/engine.h"
 #include "obs/query_stats.h"
-#include "parallel/parallel_aggregate.h"
 #include "sched/admission.h"
 #include "sched/morsel.h"
 #include "sched/scheduler.h"
+#include "simd/simd_parallel.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 
@@ -284,6 +284,9 @@ TEST(SchedDifferentialTest, SessionExecutorMatchesSerialAggregates) {
   for (auto& c : codes) c = rng.UniformInt(0, LowMask(11));
   const VbpColumn vcol = VbpColumn::Pack(codes, 11);
   const HbpColumn hcol = HbpColumn::Pack(codes, 11);
+  // The governed runs use the lanes=4 packing and drivers the engine uses.
+  const VbpColumn vcol4 = VbpColumn::Pack(codes, 11, {.lanes = 4});
+  const HbpColumn hcol4 = HbpColumn::Pack(codes, 11, {.lanes = 4});
 
   FilterBitVector vfilter(n, VbpColumn::kValuesPerSegment);
   vfilter.SetAll();
@@ -301,14 +304,14 @@ TEST(SchedDifferentialTest, SessionExecutorMatchesSerialAggregates) {
         AggKind::kMedian}) {
     const AggregateResult vserial = vbp::Aggregate(vcol, vfilter, kind, 0);
     const AggregateResult vgoverned =
-        par::Aggregate(ex, vcol, vfilter, kind, 0);
+        simd::AggregateVbp(ex, vcol4, vfilter, kind, 0);
     EXPECT_EQ(vgoverned.count, vserial.count);
     EXPECT_TRUE(vgoverned.sum == vserial.sum);
     EXPECT_EQ(vgoverned.value, vserial.value);
 
     const AggregateResult hserial = hbp::Aggregate(hcol, hfilter, kind, 0);
     const AggregateResult hgoverned =
-        par::Aggregate(ex, hcol, hfilter, kind, 0);
+        simd::AggregateHbp(ex, hcol4, hfilter, kind, 0);
     EXPECT_EQ(hgoverned.count, hserial.count);
     EXPECT_TRUE(hgoverned.sum == hserial.sum);
     EXPECT_EQ(hgoverned.value, hserial.value);

@@ -78,6 +78,50 @@ TEST(TableIoTest, RoundTripPreservesEverything) {
   }
 }
 
+// Every word-group region of a column's packing, flattened.
+std::vector<Word> PackedWords(const Table::Column& column) {
+  std::vector<Word> words;
+  auto append = [&words](const auto& packed) {
+    for (int g = 0; g < packed.num_groups(); ++g) {
+      words.insert(words.end(), packed.GroupData(g),
+                   packed.GroupData(g) + packed.GroupWordCount(g));
+    }
+  };
+  switch (column.spec().layout) {
+    case Layout::kVbp:
+      append(column.vbp());
+      break;
+    case Layout::kHbp:
+      append(column.hbp());
+      break;
+    case Layout::kNaive:
+    case Layout::kPadded:
+      break;
+  }
+  return words;
+}
+
+// A read-back table holds the same one packing AddColumn built: the
+// lanes == 4 form, word for word.
+TEST(TableIoTest, ReadTablePacksLikeAddColumn) {
+  const Table original = MakeRichTable(5000);
+  const std::string path = TempPath("packing.icptbl");
+  ASSERT_TRUE(io::WriteTable(original, path).ok());
+  auto loaded_or = io::ReadTable(path);
+  ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().ToString();
+  for (const auto& name : original.column_names()) {
+    const Table::Column& o = **original.GetColumn(name);
+    const Table::Column& l = **loaded_or->GetColumn(name);
+    const int lanes = o.spec().layout == Layout::kVbp ? o.vbp().lanes()
+                                                      : o.hbp().lanes();
+    EXPECT_EQ(lanes, 4) << name;
+    EXPECT_EQ(l.MemoryBytes(), o.MemoryBytes()) << name;
+    const std::vector<Word> words = PackedWords(o);
+    EXPECT_FALSE(words.empty()) << name;
+    EXPECT_EQ(PackedWords(l), words) << name;
+  }
+}
+
 TEST(TableIoTest, QueriesAgreeAfterReload) {
   const Table original = MakeRichTable(3000);
   const std::string path = TempPath("query.icptbl");
